@@ -9,7 +9,8 @@ column with an adaptively chosen width (i8/i16/i32/i64) and optional
 delta pre-coding for the monotonic timestamp columns.  The whole body is
 deflate-compressed when that pays.
 
-Layout (version 1, little-endian throughout)::
+Layout (version 1, little-endian throughout; magic and version are the
+:func:`repro.storage.frame` header)::
 
     magic  b"RPDB"
     u8     version (= 1)
@@ -47,11 +48,12 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.experiment import ExperimentResult
 from repro.core.profile_data import ProfileData, RunFailure, RunInfo
 from repro.sim.source import SourceLine, intern_line
+from repro.storage import frame, unframe
 
 try:  # pragma: no cover - exercised via both branches in tests
     import numpy as _np
@@ -298,24 +300,15 @@ def encode_profile(data: ProfileData) -> bytes:
         if len(packed) < len(payload):
             payload = packed
             flags |= 1
-    return MAGIC + bytes([VERSION, flags]) + payload
-
-
-def is_profile_blob(blob: bytes) -> bool:
-    """True when ``blob`` starts like a binary ProfileData document."""
-    return len(blob) >= 6 and blob[:4] == MAGIC
+    return frame(MAGIC, VERSION, bytes([flags]) + payload)
 
 
 def decode_profile(blob: bytes) -> ProfileData:
     """Rebuild a :class:`ProfileData` from :func:`encode_profile` output."""
-    if len(blob) < 6 or blob[:4] != MAGIC:
-        raise BinaryWireError("not a ProfileData binary document")
-    version, flags = blob[4], blob[5]
-    if version != VERSION:
-        raise BinaryWireError(
-            f"unsupported ProfileData binary version: {version}"
-        )
-    payload = blob[6:]
+    body = unframe(blob, MAGIC, VERSION, BinaryWireError)
+    if not body:
+        raise BinaryWireError("truncated ProfileData binary document")
+    flags, payload = body[0], body[1:]
     if flags & 1:
         payload = zlib.decompress(payload)
     r = _Reader(payload)

@@ -14,10 +14,13 @@ Storage is two-level:
   (bench warm trials, doctor identity checks, back-to-back CLI sessions)
   resume without touching disk;
 * an optional on-disk cache directory, shared between the parent and pool
-  workers and across processes.  The directory carries a ``MANIFEST.json``
-  recording the run fingerprint and snapshot version; on mismatch the
-  cache is *invalidated with a warning* — a stale checkpoint is never
-  silently reused (it would poison bit-identity guarantees).
+  workers and across processes.  Files are content-addressed,
+  ``<fingerprint>-<seed>.ckpt`` (the fingerprint covers the snapshot
+  layout version), so one configuration can never read another's
+  checkpoint and the directory needs no manifest or lock: each file is
+  written once, atomically, by :func:`repro.storage.write_once`.  A
+  directory reused across configurations keeps every configuration's
+  files side by side rather than purging them.
 
 :func:`execute_run` is the single entry point the executor uses: resume
 from a supplied or stored snapshot when possible, fall back to a cold run
@@ -27,20 +30,13 @@ dirty closures), and record fresh checkpoints on the way through.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
 import pickle
 import warnings
-from collections import OrderedDict
 from dataclasses import replace
 from typing import Any, Callable, Optional, Tuple
-
-try:  # advisory cross-process locking; POSIX-only, degrades to none
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
 
 from repro.harness.journal import canonical
 from repro.sim.snapshot import (
@@ -49,6 +45,7 @@ from repro.sim.snapshot import (
     Recorder,
     SnapshotError,
 )
+from repro.storage import LRU, write_once
 
 __all__ = [
     "CheckpointStore",
@@ -60,65 +57,22 @@ __all__ = [
     "clear_memory_cache",
 ]
 
-_MANIFEST = "MANIFEST.json"
-_MANIFEST_SCHEMA = "checkpoint-cache/v1"
+_MEMORY_CAP = 64
 
 #: process-global LRU of deepest checkpoints, keyed (fingerprint, seed).
 #: Pool workers forked from a warm parent inherit this populated — the
 #: parallel executor ships :class:`SnapshotRef` markers instead of payloads
 #: whenever that is the case, so warm fan-out costs no snapshot bytes.
-_MEMORY: "OrderedDict[Tuple[str, int], EngineSnapshot]" = OrderedDict()
-_MEMORY_CAP = 64
-
-#: process-global store instances, keyed (fingerprint, directory): opening
-#: a directory validates its manifest under a file lock, which a pool
-#: worker must pay once per session, not once per task
-_SHARED_STORES: dict = {}
+_MEMORY = LRU(_MEMORY_CAP)
 
 
 class CheckpointCacheWarning(UserWarning):
-    """A checkpoint cache was stale, unreadable, or unwritable."""
-
-
-@contextlib.contextmanager
-def _dir_lock(directory: str):
-    """Advisory exclusive lock on a cache directory's ``.lock`` file.
-
-    Serializes manifest validation/initialization across processes: two
-    workers opening the same cache directory concurrently would otherwise
-    interleave manifest writes (and the loser would see a half-initialized
-    directory and spuriously invalidate it).  Checkpoint *payload* writes
-    do not need the lock — per-file ``os.replace`` is already atomic and
-    snapshots are deterministic per (fingerprint, seed), so concurrent
-    populates are last-writer-wins with identical bytes.
-
-    Degrades to no locking where ``fcntl`` is unavailable or the lock file
-    cannot be created; the caller's own failure handling still applies.
-    """
-    if fcntl is None:
-        yield
-        return
-    fh = None
-    try:
-        fh = open(os.path.join(directory, ".lock"), "a+")
-        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-    except OSError:
-        fh = None  # locking is best-effort; fall through unlocked
-    try:
-        yield
-    finally:
-        if fh is not None:
-            try:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-            except OSError:
-                pass
-            fh.close()
+    """A checkpoint cache was unreadable or unwritable."""
 
 
 def clear_memory_cache() -> None:
     """Drop every in-memory checkpoint (tests, and bench cold baselines)."""
     _MEMORY.clear()
-    _SHARED_STORES.clear()
 
 
 def checkpoint_fingerprint(spec, coz_config, faults) -> str:
@@ -154,119 +108,40 @@ class CheckpointStore:
     def __init__(self, key: str, directory: Optional[str] = None) -> None:
         self.key = key
         self.directory = directory
-        if directory is not None:
-            self._open_directory()
-
-    @classmethod
-    def shared(cls, key: str, directory: Optional[str] = None) -> "CheckpointStore":
-        """Process-cached store for ``(key, directory)``.
-
-        Construction with a directory validates the on-disk manifest under
-        an advisory lock; the shared instance pays that once per process
-        (a pool worker otherwise re-validates on every task).  The cache is
-        dropped by :func:`clear_memory_cache`.
-        """
-        cache_key = (key, directory)
-        store = _SHARED_STORES.get(cache_key)
-        if store is None:
-            store = cls(key, directory=directory)
-            _SHARED_STORES[cache_key] = store
-        return store
-
-    # ------------------------------------------------------------- memory
 
     def get(self, seed: int) -> Optional[EngineSnapshot]:
-        entry = _MEMORY.get((self.key, seed))
-        if entry is not None:
-            _MEMORY.move_to_end((self.key, seed))
-            return entry
-        return self._disk_get(seed)
+        snap = _MEMORY.get((self.key, seed))
+        if snap is None and self.directory is not None:
+            snap = self._disk_get(seed)
+        return snap
 
     def put(self, seed: int, snapshot: EngineSnapshot) -> None:
-        _MEMORY[(self.key, seed)] = snapshot
-        _MEMORY.move_to_end((self.key, seed))
-        while len(_MEMORY) > _MEMORY_CAP:
-            _MEMORY.popitem(last=False)
-        self._disk_put(seed, snapshot)
-
-    # --------------------------------------------------------------- disk
-
-    def _open_directory(self) -> None:
-        """Validate (or initialize) the on-disk cache directory.
-
-        A manifest recording a *different* fingerprint or snapshot version
-        means the cache was built for another session configuration or an
-        older capture layout: warn, delete every cached checkpoint, and
-        rewrite the manifest.  Stale checkpoints are never silently
-        reused.
-        """
-        d = self.directory
+        _MEMORY.put((self.key, seed), snapshot)
+        if self.directory is None:
+            return
+        path = self._path(seed)
         try:
-            os.makedirs(d, exist_ok=True)
-            # the lock serializes validate-then-initialize across processes:
-            # the loser of a concurrent open blocks until the winner's
-            # manifest is on disk, sees it match, and touches nothing
-            with _dir_lock(d):
-                manifest_path = os.path.join(d, _MANIFEST)
-                manifest = None
-                if os.path.exists(manifest_path):
-                    try:
-                        with open(manifest_path, "r", encoding="utf-8") as fh:
-                            manifest = json.load(fh)
-                    except (OSError, ValueError):
-                        manifest = {}  # unreadable counts as a mismatch
-                expected = {
-                    "schema": _MANIFEST_SCHEMA,
-                    "fingerprint": self.key,
-                    "snapshot_version": SNAPSHOT_VERSION,
-                }
-                if manifest is not None and manifest != expected:
-                    warnings.warn(
-                        f"checkpoint cache {d!r} was built for a different "
-                        f"session configuration or snapshot version; "
-                        f"invalidating it",
-                        CheckpointCacheWarning,
-                        stacklevel=4,
-                    )
-                    for name in os.listdir(d):
-                        if name.endswith(".ckpt"):
-                            try:
-                                os.unlink(os.path.join(d, name))
-                            except OSError:
-                                pass
-                if manifest != expected:
-                    tmp = f"{manifest_path}.tmp.{os.getpid()}"
-                    with open(tmp, "w", encoding="utf-8") as fh:
-                        json.dump(expected, fh, indent=2)
-                        fh.write("\n")
-                    os.replace(tmp, manifest_path)
-        except OSError as exc:
+            os.makedirs(self.directory, exist_ok=True)
+            # checkpoints are a rebuildable cache: atomic, but not fsync'd
+            write_once(path, snapshot.to_bytes(), fsync=False)
+        except (OSError, pickle.PicklingError) as exc:
             warnings.warn(
-                f"checkpoint cache {d!r} unusable ({exc}); "
-                f"running without on-disk checkpoints",
+                f"could not write checkpoint {path!r} ({exc})",
                 CheckpointCacheWarning,
-                stacklevel=4,
+                stacklevel=2,
             )
-            self.directory = None
 
     def _path(self, seed: int) -> str:
-        return os.path.join(self.directory, f"seed-{seed}.ckpt")
+        return os.path.join(self.directory, f"{self.key}-{seed}.ckpt")
 
     def _disk_get(self, seed: int) -> Optional[EngineSnapshot]:
-        if self.directory is None:
-            return None
         path = self._path(seed)
-        if not os.path.exists(path):
-            return None
         try:
             with open(path, "rb") as fh:
-                blob = fh.read()
-            if blob[:4] == EngineSnapshot.WIRE_MAGIC:
-                snap = EngineSnapshot.from_bytes(blob)
-            else:  # pre-container files: a bare pickle
-                snap = pickle.loads(blob)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, ValueError, SnapshotError) as exc:
+                snap = EngineSnapshot.from_bytes(fh.read())
+        except FileNotFoundError:
+            return None
+        except (OSError, SnapshotError) as exc:
             warnings.warn(
                 f"discarding unreadable checkpoint {path!r} ({exc})",
                 CheckpointCacheWarning,
@@ -277,37 +152,8 @@ class CheckpointStore:
             except OSError:
                 pass
             return None
-        if not isinstance(snap, EngineSnapshot) or snap.version != SNAPSHOT_VERSION:
-            return None
-        _MEMORY[(self.key, seed)] = snap
-        _MEMORY.move_to_end((self.key, seed))
+        _MEMORY.put((self.key, seed), snap)
         return snap
-
-    def _disk_put(self, seed: int, snapshot: EngineSnapshot) -> None:
-        if self.directory is None:
-            return
-        path = self._path(seed)
-        if os.path.exists(path):
-            # snapshots are deterministic per (fingerprint, seed): a file
-            # already on disk has the same bytes this writer would produce,
-            # so a concurrent populate is first-writer-wins and the loser
-            # skips the redundant pickling
-            return
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(snapshot.to_bytes())
-            os.replace(tmp, path)  # atomic: readers never see a torn file
-        except (OSError, pickle.PicklingError) as exc:
-            warnings.warn(
-                f"could not write checkpoint {path!r} ({exc})",
-                CheckpointCacheWarning,
-                stacklevel=3,
-            )
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
 
 # ------------------------------------------------------- snapshot shipping
@@ -339,7 +185,6 @@ class SnapshotRef:
     def resolve(self, store: Optional[CheckpointStore] = None):
         snap = _MEMORY.get((self.key, self.seed))
         if snap is not None:
-            _MEMORY.move_to_end((self.key, self.seed))
             return snap
         if store is not None:
             return store.get(self.seed)
@@ -378,7 +223,6 @@ class SnapshotWire:
         if self.key is not None:
             cached = _MEMORY.get((self.key, self.seed))
             if cached is not None:
-                _MEMORY.move_to_end((self.key, self.seed))
                 return cached
         try:
             snap = EngineSnapshot.from_bytes(self.blob)
@@ -390,10 +234,7 @@ class SnapshotWire:
             )
             return store.get(self.seed) if store is not None else None
         if self.key is not None:
-            _MEMORY[(self.key, self.seed)] = snap
-            _MEMORY.move_to_end((self.key, self.seed))
-            while len(_MEMORY) > _MEMORY_CAP:
-                _MEMORY.popitem(last=False)
+            _MEMORY.put((self.key, self.seed), snap)
         return snap
 
 

@@ -3,8 +3,8 @@
 A causal-profiling session is many independent runs whose results merge in
 run order.  That makes it checkpointable at run granularity: after every
 completed (or failed) run, the harness appends one JSONL record to an
-on-disk journal — ``write`` + ``flush`` + ``fsync`` per record, so a
-``SIGKILL`` at any instant loses at most the record being written.  A
+on-disk journal — a :class:`repro.storage.AppendLog`, fsync'd per record,
+so a ``SIGKILL`` at any instant loses at most the record being written.  A
 restarted session opens the journal, replays the completed runs verbatim
 (the payload is the run's :meth:`ProfileData.to_json` wire document, which
 is lossless), and executes only the remaining schedule.  Because run ``i``
@@ -29,22 +29,24 @@ Wire format (one JSON object per line):
 journals the baseline and optimized sessions into the same file as
 segments ``baseline`` and ``optimized``).
 
-Loading tolerates a torn tail: a final line that does not decode is the
-record that was being written when the previous session died, and is
-dropped with a warning.  A torn line in the *middle* means real corruption
-and raises :class:`JournalError`.
+Loading tolerates a torn tail: a final line that does not decode (or lacks
+its newline) is the record that was being written when the previous
+session died; it is dropped with a warning and truncated away before the
+resumed session's first append, so the next record starts on a clean
+line.  An undecodable line in the *middle* means real corruption and
+raises :class:`JournalError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
+
+from repro.storage import AppendLog
 
 JOURNAL_VERSION = 1
 
@@ -115,7 +117,7 @@ class SessionJournal:
         self.path = Path(path)
         self.fingerprint = fingerprint
         self.records: List[JournalRecord] = []
-        self._fh = None
+        self._log = AppendLog(self.path, error=JournalError)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -132,13 +134,13 @@ class SessionJournal:
         """
         journal = cls(Path(path), canonical(fingerprint))
         try:
-            journal._fh = open(journal.path, "x", encoding="utf-8")
+            journal._log.create()
         except FileExistsError:
             raise JournalError(
                 f"journal {journal.path} already exists; refusing to "
                 f"truncate it (resume it, or remove the file first)"
             ) from None
-        journal._append({
+        journal._log.append({
             "kind": "header",
             "version": JOURNAL_VERSION,
             "fingerprint": journal.fingerprint,
@@ -201,24 +203,19 @@ class SessionJournal:
         resume (raising :class:`JournalError`) when the journal belongs to
         a different session — different app, seed, config, or fault plan.
         """
-        path = Path(path)
-        header, records = _load(path)
-        want = canonical(fingerprint)
+        journal = cls(Path(path), canonical(fingerprint))
+        header, journal.records = _load(journal._log)
         have = header.get("fingerprint")
-        if have != want:
+        if have != journal.fingerprint:
             raise JournalError(
-                f"journal {path} belongs to a different session; refusing to "
-                f"resume (fingerprint mismatch: {_diff_keys(have, want)})"
+                f"journal {journal.path} belongs to a different session; "
+                f"refusing to resume (fingerprint mismatch: "
+                f"{_diff_keys(have, journal.fingerprint)})"
             )
-        journal = cls(path, want)
-        journal.records = records
-        journal._fh = open(path, "a", encoding="utf-8")
         return journal
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
     def __enter__(self) -> "SessionJournal":
         return self
@@ -242,7 +239,7 @@ class SessionJournal:
         ``data_json`` is ``None`` for plain (unprofiled) runs — the
         comparison harness journals bare runtime measurements.
         """
-        self._append({
+        self._log.append({
             "kind": "run",
             "segment": segment,
             "index": index,
@@ -254,20 +251,13 @@ class SessionJournal:
 
     def record_failure(self, segment: str, failure) -> None:
         """Journal one recorded run failure (a RunFailure)."""
-        self._append({
+        self._log.append({
             "kind": "failure",
             "segment": segment,
             "index": failure.index,
             "seed": failure.seed,
             "failure": failure.to_dict(),
         })
-
-    def _append(self, doc: Dict[str, Any]) -> None:
-        if self._fh is None:
-            raise JournalError(f"journal {self.path} is not open for appending")
-        self._fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     # -- replay ----------------------------------------------------------------
 
@@ -285,33 +275,15 @@ class SessionJournal:
         return out
 
 
-def _load(path: Path):
-    """Parse a journal file into (header, records), tolerating a torn tail."""
-    if not path.exists():
-        raise JournalError(f"journal {path} does not exist")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise JournalError(f"journal {path} is empty")
-
-    docs = []
-    for i, raw in enumerate(lines):
-        try:
-            docs.append(json.loads(raw))
-        except ValueError:
-            if i == len(lines) - 1:
-                # the record being written when the session died
-                warnings.warn(
-                    f"journal {path}: dropping torn final record "
-                    f"(line {i + 1}); the interrupted run will re-execute",
-                    stacklevel=3,
-                )
-                break
-            raise JournalError(
-                f"journal {path} is corrupt at line {i + 1} "
-                f"(undecodable non-final record)"
-            )
-
+def _load(log: AppendLog):
+    """Parse a journal into (header, records), tolerating a torn tail."""
+    path = log.path
+    try:
+        if Path(path).stat().st_size == 0:
+            raise JournalError(f"journal {path} is empty")
+    except FileNotFoundError:
+        raise JournalError(f"journal {path} does not exist") from None
+    docs = log.replay()
     if not docs:
         # the only line was torn: the writer died inside the header write
         raise JournalError(f"journal {path} has no intact header record")

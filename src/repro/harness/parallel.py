@@ -323,10 +323,10 @@ def _checkpoint_store(task: RunTask):
 
     Workers without a shared cache directory skip the store entirely: their
     in-memory cache dies with the process, so recording there is pure
-    overhead (a shipped ``task.snapshot`` still resumes them warm).
-    Store instances are process-cached per (fingerprint, directory) so the
-    manifest validation (makedirs + lock + read) happens once per session,
-    not once per task.
+    overhead (a shipped ``task.snapshot`` still resumes them warm).  A
+    store is only a (fingerprint, directory) address over the
+    process-global snapshot LRU and content-addressed files, so building
+    one per task costs nothing worth caching.
     """
     if not task.checkpoint or task.checkpoint_key is None:
         return None
@@ -335,7 +335,7 @@ def _checkpoint_store(task: RunTask):
         return None
     from repro.harness.checkpoint import CheckpointStore
 
-    return CheckpointStore.shared(task.checkpoint_key, directory=task.checkpoint_dir)
+    return CheckpointStore(task.checkpoint_key, directory=task.checkpoint_dir)
 
 
 def _run_task(task: RunTask, keep_objects: bool = False) -> RunOutput:

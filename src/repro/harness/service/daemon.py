@@ -7,7 +7,8 @@ One :class:`ServiceDaemon` owns a state directory::
         queue.jsonl          crash-safe queue journal (fsync'd per event)
         jobs/<fp>.jsonl      per-job session journals (repro.harness.journal)
         results/<fp>.json    content-addressed completed results
-        checkpoints/<key>/   shared CheckpointStore disk caches
+        checkpoints/<key16>/<key>-<seed>.ckpt
+                             shared CheckpointStore disk caches
 
 and runs two thread groups: an accept loop handing each connection to a
 short-lived handler thread, and ``workers`` long-lived worker threads
@@ -17,6 +18,11 @@ run_profile_session` machinery — journaled, checkpointed, deadline-aware —
 so every robustness property the harness already has (bit-identical
 resume, typed fault taxonomy, retry/watchdog) is inherited rather than
 reimplemented.
+
+Every durable byte under the state directory goes through
+:mod:`repro.storage`: both journal kinds are
+:class:`~repro.storage.AppendLog` files, and the result and checkpoint
+files are :func:`~repro.storage.write_once` writes.
 
 **Admission order** at submit is deliberate: circuit breaker first (a
 quarantined tenant is shed even for cached results, so its traffic stops
@@ -35,7 +41,9 @@ enqueues and again when it settles.  On restart, jobs with a ``submit``
 event but no terminal event re-enqueue (``recovered=True``); their
 session journals replay completed runs, so a daemon SIGKILL'd mid-job
 resumes the job from its last fsync'd run and produces a bit-identical
-result.
+result.  A torn final queue event (the kill landed mid-append) is
+dropped and truncated before the next event is appended; an undecodable
+event anywhere else is corruption and stops the daemon from starting.
 
 **Graceful degradation**: a chaos-faulted session completes ``degraded``
 (partial profile + typed failure records) rather than erroring; repeated
@@ -75,6 +83,7 @@ from repro.harness.service.wire import (
     send_doc,
 )
 from repro.sim.errors import DeadlineExceededError, ServiceOverloadError
+from repro.storage import AppendLog
 
 __all__ = ["ServiceConfig", "ServiceDaemon"]
 
@@ -122,13 +131,13 @@ class ServiceDaemon:
         self.checkpoints_dir = os.path.join(config.state_dir, "checkpoints")
         os.makedirs(self.jobs_dir, exist_ok=True)
         self.queue_journal = os.path.join(config.state_dir, "queue.jsonl")
+        self._queue_log = AppendLog(self.queue_journal, error=JournalError)
 
         self.queue = JobQueue()
         self.results = ResultStore(os.path.join(config.state_dir, "results"))
         self.admission = AdmissionController(config.policy, clock)
 
         self._lock = threading.Lock()
-        self._journal_lock = threading.Lock()
         self._stop = threading.Event()
         self._fatal: Optional[BaseException] = None
         self._threads: List[threading.Thread] = []
@@ -193,38 +202,13 @@ class ServiceDaemon:
             os.unlink(self.config.sock)
         except OSError:
             pass
+        self._queue_log.close()
 
     # ------------------------------------------------------------- recovery
 
     def _journal_event(self, doc: Dict[str, Any]) -> None:
         """Append one fsync'd event to the crash-safe queue journal."""
-        line = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        with self._journal_lock:
-            with open(self.queue_journal, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-
-    def _replay_queue_journal(self) -> Dict[str, Dict[str, Any]]:
-        """Fingerprint -> last journaled state (torn tail tolerated)."""
-        pending: Dict[str, Dict[str, Any]] = {}
-        try:
-            with open(self.queue_journal, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    try:
-                        doc = json.loads(line)
-                    except ValueError:
-                        continue  # torn tail from a mid-write kill
-                    if not isinstance(doc, dict):
-                        continue
-                    fp = doc.get("fingerprint")
-                    if doc.get("kind") == "submit" and fp:
-                        pending[fp] = doc
-                    elif doc.get("kind") == "terminal" and fp:
-                        pending.pop(fp, None)
-        except OSError:
-            pass
-        return pending
+        self._queue_log.append(doc)
 
     def _recover(self) -> None:
         """Re-enqueue journaled jobs that never reached a terminal state.
@@ -234,7 +218,15 @@ class ServiceDaemon:
         only the remainder, so the recovered result is bit-identical to an
         uninterrupted one.
         """
-        for fp, doc in sorted(self._replay_queue_journal().items()):
+        pending: Dict[str, Dict[str, Any]] = {}  # fingerprint -> submit
+        for doc in self._queue_log.replay():
+            if not isinstance(doc, dict) or not doc.get("fingerprint"):
+                continue
+            if doc.get("kind") == "submit":
+                pending[doc["fingerprint"]] = doc
+            elif doc.get("kind") == "terminal":
+                pending.pop(doc["fingerprint"], None)
+        for fp, doc in sorted(pending.items()):
             try:
                 spec = JobSpec.from_wire(doc["spec"])
             except (KeyError, WireError):

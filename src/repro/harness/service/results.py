@@ -8,21 +8,13 @@ byte comparison of two result files is a determinism check, and the
 restart-recovery test can assert a SIGKILL'd session resumed to exactly
 the bytes an uninterrupted one produced.
 
-Layout mirrors the checkpoint store: an in-memory LRU in front of one
-content-addressed blob per fingerprint, written atomically via
-``os.replace`` and skipped when already present (first-writer-wins; the
-content is deterministic, so writers never disagree).  Deadline-partial
-results are returned to waiters but **never** stored — a truncated
-session must not shadow the full one a resubmit would complete.
-
-On-disk format: the authoritative file is ``<dir>/<fp>.bin`` — a small
-container holding the result document's metadata header as JSON plus the
-profile payload on the compact binary wire
-(:meth:`~repro.core.profile_data.ProfileData.to_bytes`), which is several
-times smaller than the JSON form.  A ``<fp>.json`` debug view with the
-full JSON document is written alongside so stored results stay greppable;
-reads prefer the binary file and fall back to plain JSON, so stores
-written by older daemons keep working.
+Layout: an in-memory :class:`~repro.storage.LRU` in front of exactly one
+file per result, ``<dir>/<fp>.json`` — the document as canonical JSON
+(sorted keys, compact separators), written once, atomically and fsync'd
+by :func:`repro.storage.write_once` (first writer wins; the content is
+deterministic, so writers never disagree).  Deadline-partial results are
+returned to waiters but **never** stored — a truncated session must not
+shadow the full one a resubmit would complete.
 """
 
 from __future__ import annotations
@@ -30,18 +22,14 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections import OrderedDict
 from typing import Any, Dict, Optional
+
+from repro.storage import LRU, write_once
 
 __all__ = ["ResultStore"]
 
 #: in-memory entries kept per store (small: result docs are a few KB)
 _MEMORY_CAP = 64
-
-#: binary result container: magic + version + u32 header length + header
-#: JSON (doc minus ``profile_data``) + ProfileData binary wire
-_BIN_MAGIC = b"RRES"
-_BIN_VERSION = 1
 
 
 class ResultStore:
@@ -50,144 +38,45 @@ class ResultStore:
     def __init__(self, directory: Optional[str] = None,
                  memory_cap: int = _MEMORY_CAP) -> None:
         self.directory = directory
-        self.memory_cap = memory_cap
         self._lock = threading.Lock()
-        self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._memory = LRU(memory_cap)
         self.hits = 0
         self.misses = 0
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
 
-    def _bin_path(self, fingerprint: str) -> str:
-        return os.path.join(self.directory, f"{fingerprint}.bin")
-
-    def _json_path(self, fingerprint: str) -> str:
+    def _path(self, fingerprint: str) -> str:
         return os.path.join(self.directory, f"{fingerprint}.json")
-
-    # ----------------------------------------------------------- wire codec
-
-    @staticmethod
-    def _encode(doc: Dict[str, Any]) -> bytes:
-        """Pack a result document into the binary container.
-
-        Raises when the document carries no well-formed ``profile_data``
-        (the caller falls back to the plain-JSON file).
-        """
-        profile = doc.get("profile_data")
-        if not isinstance(profile, dict):
-            raise ValueError("result document has no profile_data")
-        from repro.core.profile_data import ProfileData
-
-        blob = ProfileData.from_json(json.dumps(profile)).to_bytes()
-        header = {k: v for k, v in doc.items() if k != "profile_data"}
-        hdr = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        return b"".join([
-            _BIN_MAGIC,
-            bytes([_BIN_VERSION]),
-            len(hdr).to_bytes(4, "little"),
-            hdr,
-            blob,
-        ])
-
-    @staticmethod
-    def _decode(raw: bytes) -> Dict[str, Any]:
-        """Unpack the binary container back into the result document.
-
-        ``profile_data`` is appended last, matching the daemon's document
-        key order, so decoded and freshly-built docs canonicalize equal.
-        """
-        if not raw.startswith(_BIN_MAGIC):
-            raise ValueError("not a binary result container")
-        if raw[len(_BIN_MAGIC)] != _BIN_VERSION:
-            raise ValueError(
-                f"unsupported result container version {raw[len(_BIN_MAGIC)]}"
-            )
-        offset = len(_BIN_MAGIC) + 1
-        hdr_len = int.from_bytes(raw[offset:offset + 4], "little")
-        offset += 4
-        header = json.loads(raw[offset:offset + hdr_len].decode("utf-8"))
-        if not isinstance(header, dict):
-            raise ValueError("malformed result container header")
-        from repro.core.profile_data import ProfileData
-
-        doc = dict(header)
-        doc["profile_data"] = json.loads(
-            ProfileData.from_bytes(raw[offset + hdr_len:]).to_json()
-        )
-        return doc
-
-    # ------------------------------------------------------------- get/put
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         with self._lock:
             doc = self._memory.get(fingerprint)
-            if doc is not None:
-                self._memory.move_to_end(fingerprint)
-                self.hits += 1
-                return doc
-        if self.directory is not None:
-            doc = None
+        if doc is None and self.directory is not None:
             try:
-                with open(self._bin_path(fingerprint), "rb") as fh:
-                    doc = self._decode(fh.read())
+                with open(self._path(fingerprint), "rb") as fh:
+                    doc = json.loads(fh.read())
             except (OSError, ValueError):
-                # legacy / debug view: one plain-JSON document per result
-                try:
-                    with open(self._json_path(fingerprint), "r",
-                              encoding="utf-8") as fh:
-                        doc = json.load(fh)
-                except (OSError, ValueError):
-                    doc = None
-            if isinstance(doc, dict):
-                with self._lock:
-                    self._remember(fingerprint, doc)
-                    self.hits += 1
-                return doc
+                pass
+            if not isinstance(doc, dict):
+                doc = None
         with self._lock:
-            self.misses += 1
-        return None
+            if doc is None:
+                self.misses += 1
+                return None
+            self._memory.put(fingerprint, doc)
+            self.hits += 1
+        return doc
 
     def put(self, fingerprint: str, doc: Dict[str, Any]) -> None:
         with self._lock:
-            self._remember(fingerprint, doc)
+            self._memory.put(fingerprint, doc)
         if self.directory is None:
             return
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         try:
-            payload: Optional[bytes] = self._encode(doc)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            payload = None  # no/odd profile payload: JSON file only
-        if payload is not None:
-            self._write_atomic(self._bin_path(fingerprint), payload)
-        self._write_atomic(
-            self._json_path(fingerprint),
-            json.dumps(doc, sort_keys=True, separators=(",", ":"))
-            .encode("utf-8"),
-        )
-
-    def _write_atomic(self, path: str, payload: bytes) -> None:
-        if os.path.exists(path):
-            return  # deterministic content: first writer already said it
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            write_once(self._path(fingerprint), blob.encode("utf-8"), fsync=True)
         except OSError:
-            # disk cache is an accelerator, not a correctness dependency
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def _remember(self, fingerprint: str, doc: Dict[str, Any]) -> None:
-        self._memory[fingerprint] = doc
-        self._memory.move_to_end(fingerprint)
-        while len(self._memory) > self.memory_cap:
-            self._memory.popitem(last=False)
+            pass  # the disk cache is an accelerator, not a correctness dependency
 
     @property
     def hit_rate(self) -> float:

@@ -56,6 +56,7 @@ from repro.sim.engine import (
 )
 from repro.sim.sync import Barrier, CondVar, Mutex, Semaphore
 from repro.sim.thread import Frame, ThreadState, VThread
+from repro.storage import frame, unframe
 
 __all__ = [
     "SNAPSHOT_VERSION",
@@ -152,35 +153,30 @@ class EngineSnapshot:
         Used by the checkpoint store's disk files and by the parallel
         executor when a snapshot must cross a process boundary that cannot
         inherit it (non-fork start methods).  The payload is a pickle —
-        the structure is plain data by construction — wrapped in a magic +
-        version header so readers can reject foreign or future layouts
-        without unpickling.
+        the structure is plain data by construction — behind a
+        :func:`repro.storage.frame` header and a u32 snapshot layout
+        version, so readers can reject foreign or future layouts without
+        unpickling.
         """
         payload = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        return (
-            self.WIRE_MAGIC
-            + bytes([self.WIRE_VERSION])
-            + self.version.to_bytes(4, "little")
-            + payload
+        return frame(
+            self.WIRE_MAGIC,
+            self.WIRE_VERSION,
+            self.version.to_bytes(4, "little") + payload,
         )
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "EngineSnapshot":
         """Rebuild from :meth:`to_bytes`; raises :class:`SnapshotError` on
         foreign magic, unsupported container versions, or payload rot."""
-        if len(blob) < 9 or blob[:4] != cls.WIRE_MAGIC:
-            raise SnapshotError("not an EngineSnapshot byte container")
-        if blob[4] != cls.WIRE_VERSION:
-            raise SnapshotError(
-                f"unsupported snapshot container version {blob[4]}"
-            )
-        snap_version = int.from_bytes(blob[5:9], "little")
-        if snap_version != SNAPSHOT_VERSION:
+        body = unframe(blob, cls.WIRE_MAGIC, cls.WIRE_VERSION, SnapshotError)
+        snap_version = int.from_bytes(body[:4], "little")
+        if len(body) < 4 or snap_version != SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"snapshot layout v{snap_version} != current v{SNAPSHOT_VERSION}"
             )
         try:
-            snap = pickle.loads(blob[9:])
+            snap = pickle.loads(memoryview(body)[4:])
         except Exception as exc:
             raise SnapshotError(f"unreadable snapshot payload ({exc})") from exc
         if not isinstance(snap, cls):

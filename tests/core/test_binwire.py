@@ -62,7 +62,28 @@ def assert_wire_identity(data):
 
 def test_round_trip_byte_identity():
     blob = assert_wire_identity(sample_data())
-    assert binwire.is_profile_blob(blob)
+    assert blob[:4] == binwire.MAGIC
+
+
+#: ``sample_data().to_bytes()`` as the codec wrote it before the framing
+#: moved into ``repro.storage`` (uncompressed: flag byte 0)
+PINNED_RPDB = bytes.fromhex(
+    "5250444201000400000007000000616c7068612e6306000000626574612e6303"
+    "000000656e64050000007374617274010300000000000102030000000a00e703"
+    "070003000000010300000000000101030000000032190203000000e803e803e8"
+    "03040300000000000000002d3101005a6202040300000038a2980038cfc90138"
+    "fcfa020103000000030303010300000011111101030000000202020106000000"
+    "0203020302030106000000050205020502010300000000000001000000000100"
+    "00000001030000000000000100000000010000000002000000040200000000ca"
+    "9a3b8033023b0402000000c0c62d000000000001020000000201010300000000"
+    "0102010300000078280900000000"
+)
+
+
+def test_pinned_blob_decodes_and_reencodes_byte_for_byte():
+    assert PINNED_RPDB[:6] == b"RPDB" + bytes([1, 0])  # magic, version, flags
+    assert ProfileData.from_bytes(PINNED_RPDB).to_json() == sample_data().to_json()
+    assert binwire.encode_profile(sample_data()) == PINNED_RPDB
 
 
 def test_round_trip_empty_profile():
@@ -123,7 +144,8 @@ def test_rejects_unknown_version_and_garbage():
         ProfileData.from_bytes(bytes(blob))
     with pytest.raises(binwire.BinaryWireError):
         ProfileData.from_bytes(b"definitely not a profile blob")
-    assert not binwire.is_profile_blob(b"nope")
+    with pytest.raises(binwire.BinaryWireError):
+        ProfileData.from_bytes(binwire.MAGIC + bytes([binwire.VERSION]))
 
 
 def test_truncated_blob_raises():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import replace
 
@@ -106,37 +105,38 @@ def test_disk_store_round_trip(tmp_path):
     clear_memory_cache()  # force the disk path
     snap = CheckpointStore("key", directory=d).get(3)
     assert snap is not None and snap.when == 123
-    manifest = json.load(open(os.path.join(d, "MANIFEST.json")))
-    assert manifest["fingerprint"] == "key"
-    assert manifest["snapshot_version"] == SNAPSHOT_VERSION
+    # content-addressed: one <fingerprint>-<seed>.ckpt file, no manifest
+    assert os.listdir(d) == ["key-3.ckpt"]
 
 
-def test_stale_disk_cache_is_invalidated_with_a_warning(tmp_path):
-    """A fingerprint mismatch must warn and purge — never silently reuse."""
-    d = str(tmp_path / "cache")
-    CheckpointStore("old-key", directory=d).put(1, _dummy_snapshot(1))
-    clear_memory_cache()
-    with pytest.warns(CheckpointCacheWarning, match="invalidating"):
-        store = CheckpointStore("new-key", directory=d)
-    assert store.get(1) is None, "stale checkpoint survived invalidation"
-    assert not [f for f in os.listdir(d) if f.endswith(".ckpt")]
-    # the rewritten manifest makes the next open clean and warning-free
-    clear_memory_cache()
+def test_other_fingerprint_in_same_directory_misses_and_coexists(tmp_path):
+    """A different configuration sharing the directory can never read the
+    first one's checkpoint, and neither purges the other's files."""
     import warnings as _w
 
+    d = str(tmp_path / "cache")
+    CheckpointStore("old-key", directory=d).put(1, _dummy_snapshot(1, when=5))
+    clear_memory_cache()
     with _w.catch_warnings():
         _w.simplefilter("error", CheckpointCacheWarning)
-        CheckpointStore("new-key", directory=d)
+        new = CheckpointStore("new-key", directory=d)
+        assert new.get(1) is None, "one fingerprint read another's checkpoint"
+        new.put(1, _dummy_snapshot(1, when=7))
+    clear_memory_cache()
+    assert sorted(os.listdir(d)) == ["new-key-1.ckpt", "old-key-1.ckpt"]
+    assert CheckpointStore("old-key", directory=d).get(1).when == 5
+    assert CheckpointStore("new-key", directory=d).get(1).when == 7
 
 
 def test_corrupt_checkpoint_file_is_discarded_with_a_warning(tmp_path):
     d = str(tmp_path / "cache")
     store = CheckpointStore("key", directory=d)
-    with open(os.path.join(d, "seed-5.ckpt"), "wb") as fh:
+    os.makedirs(d)  # the store creates its directory on the first put
+    with open(os.path.join(d, "key-5.ckpt"), "wb") as fh:
         fh.write(b"not a pickle")
     with pytest.warns(CheckpointCacheWarning, match="unreadable"):
         assert store.get(5) is None
-    assert not os.path.exists(os.path.join(d, "seed-5.ckpt"))
+    assert not os.path.exists(os.path.join(d, "key-5.ckpt"))
 
 
 # -- execute_run -------------------------------------------------------------------
@@ -236,9 +236,9 @@ def _concurrent_open_and_put(directory, key, barrier, errors, idx):
 
 @pytest.mark.skipif(os.name != "posix", reason="fork start method required")
 def test_concurrent_processes_share_one_disk_cache(tmp_path):
-    """N real processes open/validate/populate one cache concurrently: the
-    advisory lock serializes manifest initialization, puts dedup
-    first-writer-wins, and nothing corrupts."""
+    """N real processes open and populate one cache concurrently: puts are
+    atomic first-writer-wins on content-addressed names, and nothing
+    corrupts or leaks a temporary file."""
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
@@ -260,11 +260,8 @@ def test_concurrent_processes_share_one_disk_cache(tmp_path):
     assert errors.empty(), errors.get()
 
     # exactly one coherent cache came out the other side
-    manifest = json.load(open(os.path.join(d, "MANIFEST.json")))
-    assert manifest["fingerprint"] == "shared-key"
-    ckpts = sorted(f for f in os.listdir(d) if f.endswith(".ckpt"))
-    assert ckpts == [f"seed-{i}.ckpt" for i in range(4)]
-    # no leftover temp files from racing manifest/snapshot writers
+    assert sorted(os.listdir(d)) == [f"shared-key-{i}.ckpt" for i in range(4)]
+    # no leftover temp files from racing snapshot writers
     assert not [f for f in os.listdir(d) if ".tmp" in f]
     clear_memory_cache()
     for seed in range(4):

@@ -106,6 +106,28 @@ def test_torn_final_line_is_dropped_with_warning(tmp_path):
     assert sorted(resumed.completed(DEFAULT_SEGMENT)) == [0, 1]
 
 
+def test_torn_tail_is_truncated_before_the_next_append(tmp_path):
+    """Regression: resume kept a torn tail in the file and the next append
+    glued its record onto the fragment.  One later append was silently
+    dropped as the "torn final record" on the next resume; two made the
+    journal unresumable ("corrupt at line 3")."""
+    path = tmp_path / "session.jsonl"
+    with SessionJournal.create(path, FP) as j:
+        _run_record(j, 0)
+    with open(path, "a") as fh:  # SIGKILL mid-append
+        fh.write('{"kind": "run", "segment": "profile", "ind')
+    with pytest.warns(UserWarning, match="torn final record"):
+        resumed = SessionJournal.resume(path, FP)
+    with resumed:
+        _run_record(resumed, 1)
+        _run_record(resumed, 2)
+    again = SessionJournal.resume(path, FP)
+    again.close()
+    assert sorted(again.completed(DEFAULT_SEGMENT)) == [0, 1, 2]
+    lines = path.read_text().splitlines()
+    assert len(lines) == 4 and all(json.loads(line) for line in lines)
+
+
 def test_mid_file_corruption_raises(tmp_path):
     path = tmp_path / "session.jsonl"
     with SessionJournal.create(path, FP) as j:

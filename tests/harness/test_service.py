@@ -6,9 +6,11 @@ a tmp state dir, with sessions kept tiny (2 runs, 10 ms experiments).
 """
 
 import socket as socket_mod
+import warnings
 
 import pytest
 
+from repro.harness import JournalError
 from repro.harness.service import (
     AdmissionController,
     CircuitBreaker,
@@ -302,6 +304,41 @@ def test_recovered_job_rearms_deadline(tmp_path):
     assert jobs[job_fingerprint(defaulted)].deadline_monotonic is not None
 
 
+def test_queue_journal_torn_tail_keeps_later_submits_recoverable(tmp_path):
+    """Regression: a restart over a queue.jsonl with a torn final event
+    appended the next submit onto the fragment, so replay skipped it and
+    a job accepted after the restart was lost by the next kill."""
+    import os as _os
+
+    first = _lib_daemon(tmp_path)
+    first.submit(_spec())  # accepted, then the daemon is SIGKILLed ...
+    with open(_os.path.join(first.config.state_dir, "queue.jsonl"), "a") as fh:
+        fh.write('{"kind":"terminal","finger')  # ... mid-append
+    second = _lib_daemon(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the torn-tail warning
+        second._recover()
+    assert second._recovered_jobs == 1
+    second.submit(_spec(base_seed=7))  # accepted, then killed again
+    third = _lib_daemon(tmp_path)
+    third._recover()
+    recovered = {j.fingerprint for j in third.queue.jobs() if j.recovered}
+    assert recovered == {job_fingerprint(_spec()), job_fingerprint(_spec(base_seed=7))}
+
+
+def test_queue_journal_mid_file_corruption_refuses_recovery(tmp_path):
+    import os as _os
+
+    first = _lib_daemon(tmp_path)
+    first.submit(_spec())
+    path = _os.path.join(first.config.state_dir, "queue.jsonl")
+    with open(path, "a") as fh:
+        fh.write("GARBAGE\n")
+    first.submit(_spec(base_seed=7))
+    with pytest.raises(JournalError, match="corrupt at line 2"):
+        _lib_daemon(tmp_path)._recover()
+
+
 # -- result store -------------------------------------------------------------
 
 
@@ -357,22 +394,47 @@ def _profile_doc():
 
 
 def test_result_store_binary_container_round_trips_profiles(tmp_path):
+    """A result carrying profile data is stored as exactly one canonical
+    <fp>.json (there is no separate binary container any more), and a cold
+    store reads back the same bytes and the same profile."""
     import json as _json
     import os as _os
 
+    from repro.core.profile_data import ProfileData
+
+    directory = str(tmp_path / "results")
     doc = _profile_doc()
-    store = ResultStore(str(tmp_path / "results"))
-    store.put(doc["fingerprint"], doc)
-    bin_path = store._bin_path(doc["fingerprint"])
-    json_path = store._json_path(doc["fingerprint"])
-    assert _os.path.exists(bin_path)   # authoritative binary container
-    assert _os.path.exists(json_path)  # greppable debug view
-    # the binary file must actually be smaller than the JSON document
-    assert _os.path.getsize(bin_path) < _os.path.getsize(json_path)
-    # a cold store decodes the binary container back to the same document
-    again = ResultStore(str(tmp_path / "results"))
-    got = again.get(doc["fingerprint"])
-    assert _json.dumps(got, sort_keys=True) == _json.dumps(doc, sort_keys=True)
+    fp = doc["fingerprint"]
+    store = ResultStore(directory)
+    store.put(fp, doc)
+    assert _os.listdir(directory) == [f"{fp}.json"]
+    canonical = _json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    with open(_os.path.join(directory, f"{fp}.json"), "rb") as fh:
+        assert fh.read() == canonical.encode("utf-8")
+    got = ResultStore(directory).get(fp)
+    assert _json.dumps(got, sort_keys=True, separators=(",", ":")) == canonical
+    assert (
+        ProfileData.from_json(_json.dumps(got["profile_data"])).to_json()
+        == ProfileData.from_json(_json.dumps(doc["profile_data"])).to_json()
+    )
+
+
+def test_result_store_doc_without_profile_falls_back_to_json(tmp_path):
+    """A document with no profile payload takes the same single-file path:
+    one canonical <fp>.json, read back equal by a cold store."""
+    import json as _json
+    import os as _os
+
+    directory = str(tmp_path / "results")
+    doc = {"schema": "service-result/v1", "state": "done"}
+    store = ResultStore(directory)
+    store.put("dd" * 32, doc)
+    assert _os.listdir(directory) == [f"{'dd' * 32}.json"]
+    with open(_os.path.join(directory, f"{'dd' * 32}.json"), "rb") as fh:
+        assert fh.read() == _json.dumps(
+            doc, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+    assert ResultStore(directory).get("dd" * 32) == doc
 
 
 def test_result_store_reads_legacy_json_only_files(tmp_path):
@@ -388,18 +450,6 @@ def test_result_store_reads_legacy_json_only_files(tmp_path):
     store = ResultStore(directory)
     got = store.get(doc["fingerprint"])
     assert _json.dumps(got, sort_keys=True) == _json.dumps(doc, sort_keys=True)
-
-
-def test_result_store_doc_without_profile_falls_back_to_json(tmp_path):
-    import os as _os
-
-    store = ResultStore(str(tmp_path / "results"))
-    doc = {"schema": "service-result/v1", "state": "done"}
-    store.put("dd" * 32, doc)
-    assert not _os.path.exists(store._bin_path("dd" * 32))
-    assert _os.path.exists(store._json_path("dd" * 32))
-    again = ResultStore(str(tmp_path / "results"))
-    assert again.get("dd" * 32) == doc
 
 
 # -- daemon integration -------------------------------------------------------

@@ -84,6 +84,19 @@ def test_snapshot_bytes_rejects_bad_magic_and_versions():
         EngineSnapshot.from_bytes(b"RS")  # truncated
 
 
+def test_snapshot_container_header_layout_is_pinned():
+    """The RSNP header is 9 bytes: magic, container version 1, then the
+    snapshot layout version as a little-endian u32; the pickle follows."""
+    import pickle
+
+    _, snap = _snapshot()
+    blob = snap.to_bytes()
+    assert blob[:9] == b"RSNP" + bytes([1]) + SNAPSHOT_VERSION.to_bytes(4, "little")
+    assert EngineSnapshot.WIRE_MAGIC == b"RSNP" and EngineSnapshot.WIRE_VERSION == 1
+    payload = pickle.loads(blob[9:])
+    assert isinstance(payload, EngineSnapshot) and payload.when == snap.when
+
+
 # -- submit-side wrappers ----------------------------------------------------------
 
 def test_snapshot_wire_resolves_and_caches():
@@ -124,15 +137,6 @@ def test_resolve_shipped_passthrough_and_unwrap():
     wire = SnapshotWire.from_snapshot(snap, key="k4", seed=0)
     assert isinstance(resolve_shipped(wire), EngineSnapshot)
     assert resolve_shipped(SnapshotRef("k4", 0)) is not None
-
-
-def test_shared_checkpoint_store_is_per_key(tmp_path):
-    a = CheckpointStore.shared("key-a", directory=None)
-    assert CheckpointStore.shared("key-a", directory=None) is a
-    assert CheckpointStore.shared("key-b", directory=None) is not a
-    on_disk = CheckpointStore.shared("key-a", directory=str(tmp_path))
-    assert on_disk is not a
-    assert CheckpointStore.shared("key-a", directory=str(tmp_path)) is on_disk
 
 
 def test_disk_store_round_trips_byte_container(tmp_path):
