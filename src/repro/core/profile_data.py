@@ -21,12 +21,14 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.experiment import ExperimentResult
 from repro.core.progress import LatencySpec
 from repro.sim.source import SourceLine, intern_line
-from repro.stats.bootstrap import bootstrap_pair_se
+from repro.stats.bootstrap import resample_indices, standard_error
 from repro.stats.regression import Regression, linear_regression
 
 
@@ -300,7 +302,7 @@ class LineProfile:
     #: whole-run samples attributed to this line (s in eq. 6)
     total_samples: int
 
-    _regression: Optional[Regression] = field(default=None, repr=False)
+    _regression: Optional[Regression] = field(default=None, repr=False, compare=False)
 
     @property
     def slope(self) -> float:
@@ -334,68 +336,109 @@ class LineProfile:
         return self.slope < -threshold
 
 
-def _combined_period(group: Sequence[ExperimentResult], point: str):
-    """Combined progress period over a group of same-variable experiments."""
-    visits = sum(e.visits.get(point, 0) for e in group)
-    eff = sum(e.effective_ns for e in group)
-    if visits <= 0 or eff <= 0:
-        return None, visits
-    return eff / visits, visits
+@dataclass
+class _LineColumns:
+    """One line's experiments as integer columns, grouped by speedup.
+
+    Each group keeps experiment order: bootstrap indices refer to it.
+    """
+
+    #: t_obs and s_obs of the phase correction, over every speedup
+    duration_ns: int = 0
+    selected_samples: int = 0
+    #: speedup -> (visits to the progress point, effective ns) per experiment
+    groups: Dict[int, Tuple[List[int], List[int]]] = field(default_factory=dict)
 
 
-def _group_speedup(
-    baseline: Sequence[ExperimentResult],
-    group: Sequence[ExperimentResult],
-    point: str,
+def _line_columns(
+    data: ProfileData, point: str, only: Optional[SourceLine] = None
+) -> Dict[SourceLine, _LineColumns]:
+    """Group ``data``'s experiments (of line ``only``, or all) in one pass."""
+    cols: Dict[SourceLine, _LineColumns] = {}
+    for e in data.experiments:
+        if only is not None and e.line != only:
+            continue
+        c = cols.get(e.line)
+        if c is None:
+            c = cols[e.line] = _LineColumns()
+        c.duration_ns += e.duration_ns
+        c.selected_samples += e.selected_samples
+        visits, effective = c.groups.setdefault(e.speedup_pct, ([], []))
+        visits.append(e.visits.get(point, 0))
+        effective.append(e.effective_ns)
+    return cols
+
+
+def _speedup(
+    base_visits: int, base_eff: int, visits: int, eff: int
 ) -> Optional[float]:
-    p0, _ = _combined_period(baseline, point)
-    ps, _ = _combined_period(group, point)
-    if p0 is None or ps is None:
+    """``1 - p_s / p_0`` from combined visits and effective durations;
+    None when either progress period is undefined."""
+    if base_visits <= 0 or base_eff <= 0 or visits <= 0 or eff <= 0:
         return None
-    return 1.0 - ps / p0
+    return 1.0 - (eff / visits) / (base_eff / base_visits)
 
 
-def build_line_profile(
-    data: ProfileData,
+def _speedup_se(
+    baseline: Tuple[np.ndarray, np.ndarray],
+    group: Tuple[np.ndarray, np.ndarray],
+    n_boot: int,
+    seed: int,
+) -> float:
+    """Bootstrap SE of a group's speedup: resample the experiments of the
+    baseline and the group by index and recombine their column sums."""
+    n_base, n_group = len(baseline[0]), len(group[0])
+    if n_base < 2 and n_group < 2:
+        return 0.0
+    # int64 row sums are exact (a session's ns are far below 2**63); the
+    # periods then divide Python ints, correctly rounded at any magnitude
+    sums = []
+    draws = resample_indices(seed, (n_base, n_group), n_boot)
+    for (visits, effective), idx in zip((baseline, group), draws):
+        sums.append(visits[idx].sum(axis=1).tolist())
+        sums.append(effective[idx].sum(axis=1).tolist())
+    return standard_error([s for s in map(_speedup, *sums) if s is not None])
+
+
+def _line_profile(
     line: SourceLine,
     point: str,
-    phase_correction: bool = True,
-    n_boot: int = 200,
-    seed: int = 0,
+    cols: _LineColumns,
+    total_s: int,
+    total_t: Optional[int],
+    n_boot: int,
+    seed: int,
 ) -> Optional[LineProfile]:
-    """Build one line's causal profile graph, or None if data is unusable."""
-    by_speedup: Dict[int, List[ExperimentResult]] = defaultdict(list)
-    for e in data.experiments:
-        if e.line == line:
-            by_speedup[e.speedup_pct].append(e)
-    baseline = by_speedup.get(0)
-    if not baseline:
+    """One line's graph from its columns; ``total_t`` None = no phase
+    correction."""
+    if 0 not in cols.groups:
         return None  # no 0% measurement: cannot normalize (paper rule)
 
     # phase correction factor (eq. 8), shared across the line's groups
     factor = 1.0
-    total_s = data.total_line_samples(line)
-    if phase_correction:
-        t_obs = sum(e.duration_ns for e in data.experiments if e.line == line)
-        s_obs = sum(e.selected_samples for e in data.experiments if e.line == line)
-        total_t = data.total_effective_ns()
-        if s_obs > 0 and total_t > 0:
-            factor = min(1.0, (t_obs / s_obs) * (total_s / total_t))
+    if total_t is not None and cols.selected_samples > 0 and total_t > 0:
+        t_obs, s_obs = cols.duration_ns, cols.selected_samples
+        factor = min(1.0, (t_obs / s_obs) * (total_s / total_t))
 
+    arrays = {
+        pct: (np.array(visits, dtype=np.int64), np.array(eff, dtype=np.int64))
+        for pct, (visits, eff) in cols.groups.items()
+    }
+    base_visits, base_eff = (sum(col) for col in cols.groups[0])
     points: List[ProfilePoint] = []
-    for pct in sorted(by_speedup):
-        group = by_speedup[pct]
-        raw = _group_speedup(baseline, group, point)
+    for pct in sorted(cols.groups):
+        visits, eff = (sum(col) for col in cols.groups[pct])
+        raw = _speedup(base_visits, base_eff, visits, eff)
         if raw is None:
             continue
-        se = _bootstrap_group_se(baseline, group, point, n_boot, seed + pct)
+        se = _speedup_se(arrays[0], arrays[pct], n_boot, seed + pct)
         points.append(
             ProfilePoint(
                 speedup_pct=pct,
                 program_speedup=raw * factor,
                 se=se * factor,
-                n_experiments=len(group),
-                visits=sum(e.visits.get(point, 0) for e in group),
+                n_experiments=len(cols.groups[pct][0]),
+                visits=visits,
             )
         )
     if len(points) < 2:
@@ -409,20 +452,21 @@ def build_line_profile(
     )
 
 
-def _bootstrap_group_se(
-    baseline: Sequence[ExperimentResult],
-    group: Sequence[ExperimentResult],
+def build_line_profile(
+    data: ProfileData,
+    line: SourceLine,
     point: str,
-    n_boot: int,
-    seed: int,
-) -> float:
-    """SE of the group speedup by resampling experiments in both groups."""
-    return bootstrap_pair_se(
-        baseline,
-        group,
-        lambda b, g: _group_speedup(b, g, point),
-        n_boot=n_boot,
-        seed=seed,
+    phase_correction: bool = True,
+    n_boot: int = 200,
+    seed: int = 0,
+) -> Optional[LineProfile]:
+    """Build one line's causal profile graph, or None if data is unusable."""
+    cols = _line_columns(data, point, only=line).get(line)
+    if cols is None:
+        return None
+    total_t = data.total_effective_ns() if phase_correction else None
+    return _line_profile(
+        line, point, cols, data.total_line_samples(line), total_t, n_boot, seed
     )
 
 
@@ -468,11 +512,13 @@ def build_causal_profile(
     than five distinct virtual speedups are discarded (a plot showing only a
     75% speedup is not useful, §2).
     """
+    cols = _line_columns(data, point)
+    total_t = data.total_effective_ns() if phase_correction else None
     lines = []
-    for line in data.lines():
-        lp = build_line_profile(
-            data, line, point, phase_correction=phase_correction,
-            n_boot=n_boot, seed=seed,
+    for line in sorted(cols):
+        lp = _line_profile(
+            line, point, cols[line], data.total_line_samples(line), total_t,
+            n_boot, seed,
         )
         if lp is None:
             continue

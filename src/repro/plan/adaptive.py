@@ -7,13 +7,15 @@ Strategy (successive halving with variance-aware early stopping):
    sessions warm these runs too) discovers candidate lines and rough
    speedup curves.
 2. **Halve** — between batches, build each candidate's line profile with
-   the same bootstrap machinery the final report uses
-   (:func:`~repro.core.profile_data.build_line_profile`, which wraps
-   ``bootstrap_pair_se``).  Lines whose every measured point has standard
-   error at or below ``se_target`` are *converged* and stop consuming
-   budget; the bottom half of the remaining candidates (ranked by
-   regression slope, with whole-run sample share as the prior for lines
-   too thin to regress) is *eliminated* each round.
+   the same code and bootstrap stream the final report uses
+   (:func:`~repro.core.profile_data.build_line_profile`, whose per-point
+   SEs resample index columns drawn by
+   :func:`~repro.stats.bootstrap.resample_indices`).  Lines whose every
+   measured point has standard error at or below ``se_target`` are
+   *converged* and stop consuming budget; the bottom half of the
+   remaining candidates (ranked by regression slope, with whole-run
+   sample share as the prior for lines too thin to regress) is
+   *eliminated* each round.
 3. **Direct** — each surviving candidate gets one directed run per round:
    the profiler is pinned to the line (``fixed_line``) and cycles through
    the probe speedups with the widest confidence intervals, 0% baselines

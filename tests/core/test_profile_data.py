@@ -1,5 +1,8 @@
 """Profile combination rules (§2 'Producing a causal profile')."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.core.experiment import ExperimentResult
@@ -11,6 +14,7 @@ from repro.core.profile_data import (
 )
 from repro.sim.clock import MS
 from repro.sim.source import line
+from repro.stats.bootstrap import bootstrap_pair_se
 
 L = line("x.c:1")
 L2 = line("x.c:2")
@@ -232,3 +236,118 @@ def test_profile_data_equality_semantics():
     d2.add_experiment(exp(L, 50, 10, 8))
     assert d1 != d2
     assert d1 != "not profile data"
+
+
+# -- pinned analysis output ------------------------------------------------------------
+
+
+def _pinned_data():
+    """Deterministic profile data covering every shape the bootstrap meets:
+    singleton groups, group sizes that are powers of two and 2^k+1 (the
+    sizes whose index draws reject the most words), a zero-visit point and
+    a baseline with a zero-visit experiment (resamples with no visits)."""
+    rng = random.Random(2024)
+    shapes = {
+        line("pin.c:1"): {0: 9, 10: 1, 20: 2, 30: 4, 40: 5, 50: 8, 60: 17},
+        line("pin.c:2"): {0: 16, 25: 3, 50: 1, 75: 9, 100: 32},
+        line("pin.c:3"): {0: 2, 5: 33, 15: 1, 35: 2, 45: 3},
+    }
+    exps = []
+    for src, groups in shapes.items():
+        sparse = src.lineno == 3
+        for pct, n in groups.items():
+            for _ in range(n):
+                delay_ns = pct * 10_000
+                count = rng.randint(0, 40)
+                dur = rng.randint(MS(2), MS(20)) + count * delay_ns
+                start = rng.randint(0, MS(900))
+                exps.append(
+                    ExperimentResult(
+                        line=src,
+                        speedup_pct=pct,
+                        delay_ns=delay_ns,
+                        start_ns=start,
+                        end_ns=start + dur,
+                        delay_count=count,
+                        selected_samples=rng.randint(0, 30),
+                        visits={"p": rng.randint(0, 3) if sparse else rng.randint(5, 60)},
+                    )
+                )
+    rng.shuffle(exps)
+    d = ProfileData()
+    for e in exps:
+        d.add_experiment(e)
+    for r in range(3):
+        info = RunInfo(runtime_ns=MS(1000 + r), total_delay_ns=MS(r * 7))
+        info.line_samples.update({src: rng.randint(50, 400) for src in shapes})
+        d.add_run(info)
+    return d
+
+
+def test_causal_profile_output_is_pinned():
+    """Every point's speedup, SE, counts, and each line's phase factor and
+    slope, bit for bit.  The digest was recorded before the bootstrap
+    moved from resampling experiment objects to resampling index columns;
+    any change to the draw stream or the SE arithmetic changes it."""
+    d = _pinned_data()
+    baseline = [e for e in d.experiments if e.line == line("pin.c:3") and e.speedup_pct == 0]
+    assert sorted(e.visits["p"] for e in baseline) == [0, 2]  # some resamples see no visits
+    profile = build_causal_profile(d, "p", min_speedup_amounts=2)
+    rows = [
+        (
+            str(lp.line),
+            lp.phase_factor,
+            lp.slope,
+            [
+                (p.speedup_pct, p.program_speedup, p.se, p.n_experiments, p.visits)
+                for p in lp.points
+            ],
+        )
+        for lp in profile.lines
+    ]
+    assert [len(r[3]) for r in rows] == [7, 5, 4]  # pin.c:3 at 15% has no visits
+    assert rows[0][3][1] == (10, 0.05588332616845959, 0.012324439099018177, 1, 29)
+    assert (
+        hashlib.sha256(repr(rows).encode()).hexdigest()
+        == "851a6f2210de923efa9b219b839e02648ecef677e67060af6f2c37ef32f81b50"
+    )
+
+
+def test_line_profile_equality_ignores_cached_regression():
+    d = data_with(
+        [exp(L, 0, 10, 10), exp(L, 25, 10, 9), exp(L, 50, 10, 8)],
+        line_samples={L: 100},
+    )
+    a = build_line_profile(d, L, "p", phase_correction=False)
+    b = build_line_profile(d, L, "p", phase_correction=False)
+    assert a == b
+    assert a.slope > 0  # caches the regression on ``a`` only
+    assert a == b
+
+
+def test_point_se_matches_resampling_experiment_objects():
+    """The column bootstrap equals resampling ``ExperimentResult`` objects
+    with ``bootstrap_pair_se`` and recombining them, bit for bit."""
+
+    def speedup(base, group):
+        def period(g):
+            visits = sum(e.visits.get("p", 0) for e in g)
+            eff = sum(e.effective_ns for e in g)
+            return eff / visits if visits > 0 and eff > 0 else None
+
+        p0, ps = period(base), period(group)
+        return None if p0 is None or ps is None else 1.0 - ps / p0
+
+    d = _pinned_data()
+    for src in d.lines():
+        lp = build_line_profile(d, src, "p", phase_correction=False, seed=7)
+        by_pct = {}
+        for e in d.experiments:
+            if e.line == src:
+                by_pct.setdefault(e.speedup_pct, []).append(e)
+        for p in lp.points:
+            ref = bootstrap_pair_se(
+                by_pct[0], by_pct[p.speedup_pct], speedup, n_boot=200,
+                seed=7 + p.speedup_pct,
+            )
+            assert p.se == ref

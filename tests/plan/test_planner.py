@@ -226,3 +226,31 @@ def test_render_profile_planner_columns():
     narration = render_plan(out.plan)
     assert "Planner 'static'" in narration
     assert "static round-robin" in narration
+
+
+def test_adaptive_plan_decisions_are_pinned():
+    """A fixed adaptive session's decisions, recorded before the bootstrap
+    moved to index columns: convergence and probe order both read the
+    per-point SEs, so any drift in them changes this report."""
+    out = _session(
+        runs=8, plan=PlanConfig(planner="adaptive", budget=8, se_target=0.05)
+    )
+    assert out.plan.to_dict() == {
+        "planner": "adaptive",
+        "budget": 8,
+        "rounds": 3,
+        "runs_planned": 5,
+        "line_spend": {"example.cpp:2": 20, "example.cpp:5": 16},
+        "line_reason": {"example.cpp:2": "converged", "example.cpp:5": "converged"},
+        "decisions": [
+            "round 1: explore 2 free run(s)",
+            "round 2: direct knee example.cpp:2; halve example.cpp:5",
+            "converged example.cpp:2 (max SE <= 0.05 over 6 speedups)",
+            "round 3: direct halve example.cpp:5",
+            "converged example.cpp:5 (max SE <= 0.05 over 3 speedups)",
+        ],
+    }
+    ses = {str(lp.line): [p.se for p in lp.points] for lp in out.profile.lines}
+    assert ses["example.cpp:5"] == [
+        0.026886797645997763, 0.031105461959174737, 0.019329699609268006,
+    ]
