@@ -155,10 +155,6 @@ class GappObserver(Observer):
     """
 
     wants_samples = False
-    # GAPP uses no IP samples, but declare batch readiness so enabling
-    # wants_samples (e.g. for a hybrid criticality/flat report) never forces
-    # the engine to materialize columnar buffers on its behalf
-    accepts_columnar = True
 
     def __init__(self) -> None:
         self._engine = None

@@ -113,11 +113,8 @@ class GprofObserver(Observer):
     (the paper's overhead comparison in §4.4).
     """
 
+    # self-time comes from exact on_work accounting, not samples
     wants_samples = False
-    # gprof's self-time comes from exact on_work accounting, not samples;
-    # the flag keeps a future wants_samples flip from forcing scalar
-    # materialization (Observer.on_sample_batch iterates either shape)
-    accepts_columnar = True
 
     def __init__(self, call_overhead_ns: int = 150) -> None:
         self.call_overhead_ns = call_overhead_ns

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.sim.hooks import Observer
-from repro.sim.sampler import SEG_LITERAL, Sample
+from repro.sim.sampler import SEG_LITERAL, ColumnarBuf, Sample
 from repro.sim.source import SourceLine
 
 
@@ -82,7 +82,6 @@ class PerfObserver(Observer):
     """Attach to a run to collect a perf-style flat profile."""
 
     wants_samples = True
-    accepts_columnar = True
 
     def __init__(self) -> None:
         self._line_samples: Counter = Counter()
@@ -94,14 +93,10 @@ class PerfObserver(Observer):
         # so by_func rows and pct_func lookups agree on one key
         self._func_samples[sample.func or "<main>"] += 1
 
-    def on_sample_batch(self, batch) -> None:
-        if type(batch) is list:
-            for s in batch:
-                self.on_sample(s)
-            return
-        # columnar: a flat profile only needs per-segment counts — every
-        # sample in a run-length segment shares one (line, func), so the
-        # timestamps never need expanding
+    def on_sample_batch(self, batch: ColumnarBuf) -> None:
+        # a flat profile only needs per-segment counts — every sample in a
+        # run-length segment shares one (line, func), so the timestamps
+        # never need expanding
         lines = self._line_samples
         funcs = self._func_samples
         for seg in batch.segs:

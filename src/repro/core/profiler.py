@@ -37,7 +37,7 @@ from repro.plan.schedule import RunScheduler
 from bisect import bisect_left
 
 from repro.sim.hooks import HookAction, ProfilerHook
-from repro.sim.sampler import SEG_AFFINE, SEG_LITERAL, Sample
+from repro.sim.sampler import SEG_AFFINE, SEG_LITERAL, ColumnarBuf
 from repro.sim.source import SourceLine
 from repro.sim.thread import VThread
 
@@ -82,11 +82,6 @@ class CausalProfiler(ProfilerHook):
     """Coz as a simulator hook."""
 
     wants_samples = True
-    #: aggregate straight from columnar segment buffers (repro.sim.sampler):
-    #: under the columnar pipeline `on_samples` never materializes Sample
-    #: tuples — attribution, tracker counts, and experiment hits are all
-    #: computed per run-length segment
-    accepts_columnar = True
 
     def __init__(
         self,
@@ -182,71 +177,19 @@ class CausalProfiler(ProfilerHook):
 
     # ------------------------------------------------------------------ samples
 
-    def on_samples(self, thread: VThread, samples) -> HookAction:
-        if type(samples) is not list:
-            # columnar pipeline: aggregate per segment, never per sample
-            return self._on_samples_columnar(thread, samples)
-        cfg = self.cfg
-        cost = len(samples) * cfg.sample_process_cost_ns
+    def on_samples(self, thread: VThread, batch: ColumnarBuf) -> HookAction:
+        """Attribute a sample batch and run the experiment protocol on it.
 
-        hits = 0
-        in_scope: List[SourceLine] = []
-        first_in_scope = cfg.scope.first_in_scope
-        line_samples = self.line_samples
-        # inlined tracker.on_sample_line (one call per sample otherwise)
-        sampled_lines_get = self.tracker._sampled_lines.get
-        tracker_counts = self.tracker.counts
-        running = self.state == _RUNNING
-        waiting = self.state == _WAIT  # in_scope only feeds selection
-        exp_line = self._line
-        start_ns = self._start_ns
-        prev_chain = prev_attr = None
-        for s in samples:
-            chain = s.callchain
-            if chain is prev_chain:
-                attributed = prev_attr
-            else:
-                prev_chain = chain
-                attributed = prev_attr = first_in_scope(chain)
-            if attributed is None:
-                continue
-            line_samples[attributed] = line_samples.get(attributed, 0) + 1
-            name = sampled_lines_get(attributed)
-            if name is not None:
-                tracker_counts[name] += 1
-            if waiting:
-                in_scope.append(attributed)
-            # only samples taken after the experiment started count as hits;
-            # stale buffered samples from before the experiment must not
-            # trigger delays (this is what Coz's cooloff period is for)
-            if running and attributed == exp_line and s.time >= start_ns:
-                hits += 1
-
-        pause = 0
-        if self.state == _RUNNING:
-            self._s_obs += hits
-            pause = self.delays.on_hits(thread, hits)
-        elif self.state == _WAIT:
-            cap = self.cfg.max_experiments
-            if cap is None or len(self.data.experiments) < cap:
-                selected = self.scheduler.select_line(in_scope, bool(samples))
-                if selected is not None:
-                    self._start_experiment(selected)
-        return HookAction(pause_ns=pause, cpu_ns=cost)
-
-    def _on_samples_columnar(self, thread: VThread, batch) -> HookAction:
-        """Segment-wise twin of the scalar ``on_samples`` loop.
-
-        Each columnar segment carries one (line, callchain, func) for ``n``
+        Each segment carries one (line, callchain, func) for ``n``
         consecutive samples, so attribution, per-line totals, tracker
         counts, and the in-scope selection pool (which must preserve
         duplicate multiplicity — ``select_line`` draws uniformly over
         *samples*, not lines) are all O(1) per segment.  Experiment hits
         need the ``time >= start_ns`` cut: closed form for affine
         timestamp segments, a binary search over the (nondecreasing)
-        expanded times for rescaled ones.  Byte-identical to the scalar
-        loop by construction; the golden-trace matrix and the sampler
-        property tests are the referees.
+        expanded times for rescaled ones.  Literal segments (snapshot
+        restore, fault perturbation) are walked sample by sample.  The
+        golden-trace matrix is the referee.
         """
         cfg = self.cfg
         cost = batch.n * cfg.sample_process_cost_ns
@@ -265,7 +208,7 @@ class CausalProfiler(ProfilerHook):
         for seg in batch.segs:
             kind = seg[0]
             if kind == SEG_LITERAL:
-                # snapshot-restored pre-materialized samples: scalar walk
+                # pre-materialized samples: walk them one by one
                 for s in seg[2]:
                     chain = s.callchain
                     if chain is prev_chain:

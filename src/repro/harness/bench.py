@@ -27,13 +27,11 @@ The matrix covers three apps (example, ferret, sqlite) in eight variants:
 ``nojitter``
     like ``program`` with ``sample_phase_jitter=False``;
 ``legacy``
-    like ``program`` pinned to the full pre-overhaul configuration:
-    ``coalesce=False`` (quantum-chunked event loop), ``backend="pure"``
-    (no compiled core) and ``columnar_samples=False`` (scalar sample
-    pipeline).  ``summary.speedup_vs_legacy`` = ``legacy.wall_s /
-    program.wall_s`` is the reproducible, same-process measure of what
-    the whole coalescing + columnar + compiled-dispatch stack buys on
-    each workload;
+    like ``program`` pinned to ``coalesce=False`` (quantum-chunked event
+    loop) and ``backend="pure"`` (no compiled core).
+    ``summary.speedup_vs_legacy`` = ``legacy.wall_s / program.wall_s`` is
+    the reproducible, same-process measure of what coalescing plus the
+    compiled core buy on each workload;
 ``checkpoint``
     the ``session`` cell with checkpoint fast-forward on
     (:mod:`repro.harness.checkpoint`): one untimed populate pass records
@@ -116,12 +114,7 @@ VARIANTS = {
     "nosampling": ("session", {"enable_sampling": False}, {}, {}),
     "program": ("program", {}, {}, {}),
     "nojitter": ("program", {}, {"sample_phase_jitter": False}, {}),
-    "legacy": (
-        "program",
-        {},
-        {"coalesce": False, "backend": "pure", "columnar_samples": False},
-        {},
-    ),
+    "legacy": ("program", {}, {"coalesce": False, "backend": "pure"}, {}),
     "checkpoint": ("session", {}, {}, {"checkpoint": True}),
     "planner": ("planner", {}, {}, {}),
     "service": ("service", {}, {}, {}),
@@ -181,7 +174,6 @@ class CellResult:
     events: int = 0
     samples: int = 0
     backend: str = ""                  # resolved engine backend ('pure'/'accel')
-    pipeline: str = ""                 # sample pipeline ('columnar'/'scalar')
     extra: Optional[Dict] = None       # variant-specific metrics (planner cell)
 
     def to_json(self) -> Dict:
@@ -192,7 +184,6 @@ class CellResult:
             "variant": self.variant,
             "mode": self.mode,
             "backend": self.backend,
-            "pipeline": self.pipeline,
             "runs": self.runs,
             "repeats": self.repeats,
             "wall_s": round(wall, 4),
@@ -559,14 +550,11 @@ def run_cell(cell: BenchCell) -> CellResult:
         walls.append(time.perf_counter() - t0)
     if mode == "harness" and "_wall_s" in metrics:
         walls = [metrics.pop("_wall_s")]
-    # record how the cell actually executed: the variant's pinned values
-    # where set, else the process defaults the engines resolved to — so a
-    # document read in isolation says which backend/pipeline it measured
+    # record how the cell actually executed: the variant's pinned backend
+    # where set, else the process default the engines resolved to — so a
+    # document read in isolation says which backend it measured
     from repro.sim import backend as backend_mod
 
-    columnar = sim_over.get("columnar_samples")
-    if columnar is None:
-        columnar = backend_mod.default_columnar()
     return CellResult(
         name=cell.name,
         app=cell.app,
@@ -577,7 +565,6 @@ def run_cell(cell: BenchCell) -> CellResult:
         wall_s=min(walls),
         wall_s_all=walls,
         backend=backend_mod.resolve_backend(sim_over.get("backend")),
-        pipeline="columnar" if columnar else "scalar",
         extra=extra,
         **metrics,
     )

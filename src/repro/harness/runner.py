@@ -123,7 +123,7 @@ def session_fingerprint(
         "base_seed": request.base_seed,
         "min_speedup_amounts": request.min_speedup_amounts,
         "coz_config": canonical(replace(coz_config, seed=0, audit=False)),
-        "faults": canonical(request.faults),
+        "faults": canonical(request.resilience.faults),
         "plan": canonical(request.plan),
     }
 
@@ -177,8 +177,8 @@ def run_profile_session(
     """Profile an app spec per ``request``: the propose → execute →
     observe loop.
 
-    With ``request.jobs != 1`` each batch executes in worker processes;
-    specs built by :func:`repro.apps.registry.build` are rebuilt
+    With ``request.execution.jobs != 1`` each batch executes in worker
+    processes; specs built by :func:`repro.apps.registry.build` are rebuilt
     worker-side from their :class:`~repro.apps.registry.AppRef`, while
     unregistered specs (whose ``build`` closures cannot be pickled) fall
     back to serial with a warning.  Deterministically failed runs are
@@ -186,6 +186,7 @@ def run_profile_session(
     degraded.
     """
     request = request or ProfileRequest()
+    execution, resilience = request.execution, request.resilience
     coz_config = request.coz_config or CozConfig()
     if coz_config.scope.files is None and spec.scope.files is not None:
         coz_config = replace(coz_config, scope=spec.scope)
@@ -203,14 +204,14 @@ def run_profile_session(
     # is invalidated) at session start rather than deep inside a worker.
     store = None
     if (
-        request.checkpoint
+        execution.checkpoint
         and spec.registry_ref is not None
         and audit_report is None
     ):
         from repro.harness.checkpoint import CheckpointStore, checkpoint_fingerprint
 
-        key = checkpoint_fingerprint(spec, coz_config, request.faults)
-        store = CheckpointStore(key, directory=request.checkpoint_dir)
+        key = checkpoint_fingerprint(spec, coz_config, resilience.faults)
+        store = CheckpointStore(key, directory=execution.checkpoint_dir)
 
     def make_task(plan: ExperimentPlan) -> RunTask:
         # Directed runs carry a one-off config (fixed line + probe
@@ -227,7 +228,7 @@ def run_profile_session(
             program_factory=None if spec.registry_ref is not None else spec.build,
             progress_points=tuple(spec.progress_points),
             latency_specs=tuple(spec.latency_specs),
-            faults=request.faults,
+            faults=resilience.faults,
             checkpoint=use_store,
             checkpoint_key=store.key if use_store else None,
             checkpoint_dir=store.directory if use_store else None,
@@ -238,14 +239,14 @@ def run_profile_session(
 
     journal: Optional[SessionJournal] = None
     replayed: Dict[int, RunOutput] = {}
-    if request.resume is not None:
+    if resilience.resume is not None:
         fingerprint = session_fingerprint(spec, request, coz_config)
-        journal = SessionJournal.resume(request.resume, fingerprint)
+        journal = SessionJournal.resume(resilience.resume, fingerprint)
         for idx, rec in journal.completed(DEFAULT_SEGMENT).items():
             replayed[idx] = _output_from_record(rec)
-    elif request.journal is not None:
+    elif resilience.journal is not None:
         fingerprint = session_fingerprint(spec, request, coz_config)
-        journal = SessionJournal.create(request.journal, fingerprint)
+        journal = SessionJournal.create(resilience.journal, fingerprint)
 
     planner = make_planner(request.plan, default_runs=request.runs)
     on_output = journal_hook(journal)
@@ -254,12 +255,12 @@ def run_profile_session(
     outputs: Dict[int, RunOutput] = {}
     merged = 0
     #: non-replayed runs the session may still execute (None = unlimited)
-    fresh_budget = request.stop_after_runs
+    fresh_budget = resilience.stop_after_runs
     stopped = False
     deadline_exceeded = False
     deadline_monotonic = None
-    if request.execution.deadline_s is not None:
-        deadline_monotonic = time.monotonic() + request.execution.deadline_s
+    if execution.deadline_s is not None:
+        deadline_monotonic = time.monotonic() + execution.deadline_s
 
     def _deadline_passed() -> bool:
         return (
@@ -286,13 +287,13 @@ def run_profile_session(
                 fresh_budget -= len(fresh)
             executed = execute_tasks(
                 fresh,
-                jobs=request.jobs,
-                timeout=request.timeout,
-                audit_report=audit_report if request.jobs != 1 else None,
-                retry=request.retry,
+                jobs=execution.jobs,
+                timeout=execution.timeout,
+                audit_report=audit_report if execution.jobs != 1 else None,
+                retry=execution.retry,
                 on_output=on_output,
                 deadline_monotonic=deadline_monotonic,
-                batch_runs=request.execution.batch_runs,
+                batch_runs=execution.batch_runs,
             )
             for out in executed:
                 outputs[out.index] = out

@@ -19,10 +19,6 @@ else the ``REPRO_ENGINE_BACKEND`` environment variable (``pure`` or
 ``accel``), else ``accel`` whenever the compiled core imports.  Requesting
 ``accel`` without the extension built is an error only via the env var /
 config (an explicit ask); automatic selection silently uses ``pure``.
-
-The sample pipeline flavour (``SimConfig.columnar_samples`` /
-``REPRO_SAMPLE_PIPELINE=columnar|scalar``, default columnar) is resolved
-here too, so one module answers "how will this engine run?".
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ import os
 from typing import Optional
 
 BACKEND_ENV = "REPRO_ENGINE_BACKEND"
-PIPELINE_ENV = "REPRO_SAMPLE_PIPELINE"
 
 _accel_module = None
 _accel_checked = False
@@ -77,16 +72,6 @@ def resolve_backend(name: Optional[str] = None) -> str:
             "`pip install 'repro[accel]'`), or use REPRO_ENGINE_BACKEND=pure"
         )
     return requested
-
-
-def default_columnar() -> bool:
-    """Sample-pipeline default: columnar unless the env opts into scalar."""
-    mode = os.environ.get(PIPELINE_ENV, "").strip().lower() or "columnar"
-    if mode not in ("columnar", "scalar"):
-        raise ValueError(
-            f"unknown sample pipeline {mode!r} (expected 'columnar' or 'scalar')"
-        )
-    return mode == "columnar"
 
 
 def event_loop_for(backend: str):

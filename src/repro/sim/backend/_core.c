@@ -348,8 +348,6 @@ fail:
 static Py_ssize_t
 buf_len(PyObject *buf)
 {
-    if (PyList_Check(buf))
-        return PyList_GET_SIZE(buf);
     /* ColumnarBuf keeps a running count in its `n` slot; reading it as an
      * attribute skips the Python-level __len__ call on the hottest check */
     PyObject *n = PyObject_GetAttr(buf, s_n);

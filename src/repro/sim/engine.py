@@ -80,7 +80,7 @@ from repro.sim.errors import (
 )
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.hooks import Observer, ProfilerHook
-from repro.sim.sampler import Sampler
+from repro.sim.sampler import ColumnarBuf, Sampler
 from repro.sim.source import RUNTIME_LINE, SourceLine
 from repro.sim.sync import Barrier, CondVar, Mutex, Semaphore
 from repro.sim.thread import Frame, ThreadState, VThread
@@ -148,10 +148,6 @@ class SimConfig:
     #: bit-identical either way — so it is excluded from ``repr`` and
     #: thereby from every canonical session/checkpoint fingerprint.
     backend: Optional[str] = field(default=None, repr=False)
-    #: sample-pipeline flavour: ``True`` columnar, ``False`` scalar, or
-    #: ``None`` for the process default (``REPRO_SAMPLE_PIPELINE`` env,
-    #: else columnar).  Execution-only, like ``backend``.
-    columnar_samples: Optional[bool] = field(default=None, repr=False)
 
 
 class Engine:
@@ -190,12 +186,7 @@ class Engine:
         #: engine (0 under the pure backend or an accel fallback) — bench
         #: and tests use this to prove the accel path really engaged
         self.accel_loops = 0
-        columnar = self.cfg.columnar_samples
-        if columnar is None:
-            columnar = _backend.default_columnar()
-        self.sampler = Sampler(
-            self.cfg.sample_period_ns, self.cfg.sample_batch, columnar=columnar
-        )
+        self.sampler = Sampler(self.cfg.sample_period_ns, self.cfg.sample_batch)
         self.sampling_enabled = False
         self._observer_sampling = False
         self._sampling_live = False
@@ -369,8 +360,6 @@ class Engine:
     ) -> VThread:
         """Create a thread and make it runnable."""
         t = VThread(body, name=name, parent=parent, tid=len(self.threads))
-        if self.sampler.columnar:
-            t.sample_buffer = self.sampler.new_buffer()
         if self.cfg.sample_phase_jitter:
             # desynchronize sampling clocks across threads, like real timers
             t.sample_accum = self.rng.randrange(self.cfg.sample_period_ns)
@@ -721,39 +710,23 @@ class Engine:
             if batch is not None:
                 self._deliver_batch(t, batch)
 
-    def _deliver_batch(self, t: VThread, batch) -> None:
-        """Deliver a flushed batch (Sample list, or ColumnarBuf) downstream.
-
-        Columnar batches reach ``accepts_columnar`` consumers as segments;
-        everyone else gets the materialized Sample list (computed at most
-        once per batch) — byte-identical to the scalar pipeline's.
-        """
+    def _deliver_batch(self, t: VThread, batch: ColumnarBuf) -> None:
+        """Deliver a flushed batch to sampling observers and the hook."""
         if self._faults is not None:
             # lossy ring buffer: the batch the profiler sees may have lost
-            # or duplicated a sample (engine accounting is untouched)
-            if type(batch) is not list:
-                batch = batch.materialize()
-            batch = self._faults.perturb_batch(batch)
+            # or duplicated a sample (engine accounting is untouched); the
+            # survivors travel on as one literal segment
+            batch = self.sampler.new_buffer(
+                self._faults.perturb_batch(batch.materialize())
+            )
             if not batch:
                 return
-        materialized = batch if type(batch) is list else None
         for obs in self.observers:
             if getattr(obs, "wants_samples", False):
-                if getattr(obs, "accepts_columnar", False):
-                    obs.on_sample_batch(batch)
-                    continue
-                if materialized is None:
-                    materialized = batch.materialize()
-                for s in materialized:
-                    obs.on_sample(s)
+                obs.on_sample_batch(batch)
         hook = self.hook
         if hook is not None and self.sampling_enabled:
-            if type(batch) is not list and getattr(hook, "accepts_columnar", False):
-                action = hook.on_samples(t, batch)
-            else:
-                if materialized is None:
-                    materialized = batch.materialize()
-                action = hook.on_samples(t, materialized)
+            action = hook.on_samples(t, batch)
             if action.pause_ns > 0:
                 t.pending_pause_ns += action.pause_ns
             if action.cpu_ns > 0:

@@ -32,7 +32,8 @@ Fault classes (each an independent per-run probability):
 
 Sim-level faults are enabled via ``SimConfig.faults`` (the engine builds a
 :class:`FaultInjector` per run); the harness plumbs a plan end-to-end with
-``ProfileRequest(faults=...)`` and the ``--chaos`` CLI flag.
+``ProfileRequest(resilience=ResilienceConfig(faults=...))`` and the
+``--chaos`` CLI flag.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.sampler import Sample
+    from repro.sim.sampler import ColumnarBuf, Sample
     from repro.sim.source import SourceLine
     from repro.sim.thread import VThread
 
@@ -54,13 +54,6 @@ NO_ACTION = HookAction()
 class ProfilerHook:
     """Base class for the active profiler. Every method is optional."""
 
-    #: opt-in to columnar sample delivery: when the engine's sample
-    #: pipeline is columnar and this is True, :meth:`on_samples` receives
-    #: the :class:`~repro.sim.sampler.ColumnarBuf` itself (run-length
-    #: segments, timestamps never expanded) instead of a materialized
-    #: ``Sample`` list.  Hooks that leave this False always see lists.
-    accepts_columnar = False
-
     def attach(self, engine) -> None:
         """Called when installed on an engine, before the run starts."""
 
@@ -76,12 +69,15 @@ class ProfilerHook:
     def on_thread_exit(self, thread: "VThread") -> None:
         """A thread's generator finished (after its pre-exit delays ran)."""
 
-    def on_samples(self, thread: "VThread", samples: List["Sample"]) -> HookAction:
+    def on_samples(self, thread: "VThread", samples: "ColumnarBuf") -> HookAction:
         """A batch of IP samples from ``thread`` is ready for processing.
 
         Called in the context of the sampled thread at a chunk boundary,
         exactly like Coz processing its perf_event ring buffer.  The returned
-        action is applied to the thread before it continues.
+        action is applied to the thread before it continues.  ``samples``
+        is a :class:`~repro.sim.sampler.ColumnarBuf`: it has ``len`` and
+        iterates as :class:`~repro.sim.sampler.Sample` tuples, and its
+        run-length segments can be read directly without expanding them.
         """
         return NO_ACTION
 
@@ -173,13 +169,6 @@ class Observer:
     #: observer is installed (gprof's per-call instrumentation overhead).
     call_overhead_ns: int = 0
 
-    #: opt-in to whole-batch sample delivery: observers that set this get
-    #: :meth:`on_sample_batch` (with the columnar segment buffer when the
-    #: engine's pipeline is columnar) instead of per-sample
-    #: :meth:`on_sample` calls.  Only consulted for observers that also
-    #: set ``wants_samples``.
-    accepts_columnar = False
-
     def on_run_start(self, engine) -> None: ...
 
     def on_run_end(self, engine) -> None: ...
@@ -191,13 +180,12 @@ class Observer:
     def on_sample(self, sample: "Sample") -> None:
         """One IP sample was taken (before batch processing)."""
 
-    def on_sample_batch(self, batch) -> None:
-        """A flushed sample batch (``accepts_columnar`` observers only).
+    def on_sample_batch(self, batch: "ColumnarBuf") -> None:
+        """A flushed sample batch (observers that set ``wants_samples``).
 
-        ``batch`` is a :class:`~repro.sim.sampler.ColumnarBuf` under the
-        columnar pipeline and a ``Sample`` list under the scalar one; the
-        default implementation falls back to per-sample delivery either
-        way (iterating a ColumnarBuf materializes it).
+        ``batch`` is a :class:`~repro.sim.sampler.ColumnarBuf`.  The
+        default forwards each sample to :meth:`on_sample` (iterating the
+        buffer materializes it); override to aggregate per segment.
         """
         for s in batch:
             self.on_sample(s)

@@ -10,21 +10,14 @@ boundaries — the moral equivalent of draining the perf_event ring buffer.
 Samples only accrue while a thread is on-CPU: blocked, sleeping, and paused
 threads take no samples, exactly like the real system.
 
-Two pipelines produce bit-identical samples (DESIGN.md §5i):
-
-* **scalar** — the original reference implementation: one
-  :class:`Sample` NamedTuple allocated per sample, buffered in a plain
-  list.  Retained both as the semantic reference (the property tests in
-  ``tests/sim/test_sampler_columnar.py`` compare against it byte for byte)
-  and as a fallback (``REPRO_SAMPLE_PIPELINE=scalar``).
-* **columnar** — structure-of-arrays: each ``account`` call appends one
-  *segment* descriptor to a :class:`ColumnarBuf` (the line/callchain/func
-  are constant across a chunk, so a whole chunk's samples are one
-  run-length-encoded record), and sample timestamps are computed lazily —
-  with numpy int64 vector ops for large segments — only when a consumer
-  actually needs :class:`Sample` tuples.  Hooks and observers that set
-  ``accepts_columnar`` aggregate straight from the segments and never
-  materialize at all.
+Samples are buffered structure-of-arrays (DESIGN.md §5i): each
+``account`` call appends one *segment* descriptor to a :class:`ColumnarBuf`
+(the line/callchain/func are constant across a chunk, so a whole chunk's
+samples are one run-length-encoded record), and sample timestamps are
+computed lazily — with numpy int64 vector ops for large segments — only
+when a consumer actually needs :class:`Sample` tuples.  The causal profiler
+and the perf baseline aggregate straight from the segments and never
+materialize at all.
 """
 
 from __future__ import annotations
@@ -56,7 +49,7 @@ def _require_numpy():
         raise ImportError(
             f"repro's vectorized sample pipeline needs numpy >= 1.22 for "
             f"stable int64 casting semantics; found numpy {version}. "
-            f"Upgrade numpy or run with REPRO_SAMPLE_PIPELINE=scalar."
+            "Upgrade numpy."
         )
     return numpy
 
@@ -84,10 +77,10 @@ class Sample(NamedTuple):
 #: segment kinds (first tuple element of every ColumnarBuf segment)
 SEG_AFFINE = 0    # rate == 1.0: times are base + k*period, k = 1..n
 SEG_RESCALE = 1   # rate != 1.0: times are start_real + int((k*period - accum)*rate)
-SEG_LITERAL = 2   # pre-materialized Samples (snapshot restore)
+SEG_LITERAL = 2   # pre-materialized Samples (snapshot restore, fault perturbation)
 
 #: numpy engages only for segments at least this long; smaller segments use
-#: the (byte-identical) scalar loop, whose fixed cost is lower than array
+#: a (byte-identical) per-sample loop, whose fixed cost is lower than array
 #: setup.  The property tests sweep sizes on both sides of this threshold.
 VECTOR_MIN = 16
 
@@ -113,9 +106,9 @@ def _rescale_times(
 ) -> List[int]:
     """Ceil-rounded rescale timestamps, clamped to the chunk edge ``now``.
 
-    Mirrors the scalar reference exactly: float64 multiply then truncation
-    toward zero.  numpy's int64->float64->int64 round trip performs the
-    identical IEEE-754 double rounding and truncation, so the two paths are
+    Per sample: float64 multiply then truncation toward zero.  numpy's
+    int64->float64->int64 round trip performs the identical IEEE-754 double
+    rounding and truncation, so the vector and per-sample paths are
     byte-identical below :data:`SAFE_TIME_MAX` (the property tests pin this).
     The clamp guards against float precision drift pushing a sample past the
     chunk edge at extreme virtual times (``when`` must never exceed ``now``).
@@ -146,10 +139,9 @@ class ColumnarBuf:
     sampled line, callchain, and function are constant across a chunk, so
     only the per-sample *timestamps* vary — and those are affine (or
     ceil-rescaled) functions of the sample index, stored as parameters and
-    expanded on demand.  ``__iter__``/``materialize`` produce the exact
-    :class:`Sample` tuples the scalar pipeline would have buffered, so
-    consumers that do not understand segments (snapshot capture, hooks
-    without ``accepts_columnar``) see identical bytes.
+    expanded on demand.  ``__iter__``/``materialize`` produce the
+    :class:`Sample` tuples in order, for consumers that do not read
+    segments (snapshot capture, fault perturbation, per-sample observers).
     """
 
     __slots__ = ("segs", "n")
@@ -178,7 +170,7 @@ class ColumnarBuf:
         self.n += n
 
     def add_literal(self, samples) -> None:
-        """Adopt pre-materialized Samples (snapshot restore)."""
+        """Adopt pre-materialized Samples (snapshot restore, fault perturbation)."""
         samples = list(samples)
         if samples:
             self.segs.append((SEG_LITERAL, len(samples), samples))
@@ -194,7 +186,7 @@ class ColumnarBuf:
         return [s.time for s in seg[2]]
 
     def materialize(self) -> List[Sample]:
-        """Expand to the exact Sample list the scalar pipeline would hold."""
+        """Expand every segment to its Sample tuples, in sample order."""
         out: List[Sample] = []
         for seg in self.segs:
             kind = seg[0]
@@ -216,27 +208,22 @@ class Sampler:
 
     The engine calls :meth:`account` every time a thread finishes executing a
     chunk of on-CPU work.  Returns a batch of samples ready for processing
-    (or ``None``), which the engine forwards to the profiler hook.  With
-    ``columnar=True`` the per-thread buffers are :class:`ColumnarBuf`
-    segment buffers and returned batches are columnar; otherwise they are
-    plain ``Sample`` lists (the scalar reference pipeline).
+    (a :class:`ColumnarBuf`, or ``None``), which the engine forwards to the
+    profiler hook.
     """
 
-    def __init__(self, period_ns: int, batch_size: int, columnar: bool = False) -> None:
+    def __init__(self, period_ns: int, batch_size: int) -> None:
         if period_ns <= 0:
             raise ValueError("sample period must be positive")
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
         self.period_ns = period_ns
         self.batch_size = batch_size
-        self.columnar = bool(columnar)
         #: total samples generated, for overhead accounting and tests
         self.total_samples = 0
 
-    def new_buffer(self, samples=None):
-        """A fresh (or snapshot-rehydrated) per-thread sample buffer."""
-        if not self.columnar:
-            return list(samples) if samples else []
+    def new_buffer(self, samples=None) -> ColumnarBuf:
+        """A fresh buffer, or one holding ``samples`` as a literal segment."""
         buf = ColumnarBuf()
         if samples:
             buf.add_literal(samples)
@@ -249,7 +236,7 @@ class Sampler:
         now: int,
         allow_flush: bool = True,
         rate: float = 1.0,
-    ):
+    ) -> Optional[ColumnarBuf]:
         """Accrue ``nominal_ns`` of CPU time to ``thread``; maybe flush a batch.
 
         The thread's current activity line / callchain is captured for every
@@ -271,45 +258,28 @@ class Sampler:
             func = thread.current_func()
             buf = thread.sample_buffer
             tid = thread.tid
-            if self.columnar:
-                if rate == 1.0:
-                    # fast path: real time == nominal time, no rounding
-                    buf.add_affine(
-                        n, tid, line0, chain, func,
-                        now - nominal_ns - accum_before, period,
-                    )
-                else:
-                    # ceil start rounding: see the scalar path's comment
-                    buf.add_rescale(
-                        n, tid, line0, chain, func,
-                        now - math.ceil(nominal_ns * rate),
-                        accum_before, rate, period, now,
-                    )
-            elif rate == 1.0:
+            if rate == 1.0:
                 # fast path: real time == nominal time, no rounding at all
-                start_real = now - nominal_ns
-                append = buf.append
-                base = start_real - accum_before
-                for k in range(1, n + 1):
-                    append(_new(Sample, (base + k * period, tid, line0, chain, func)))
+                buf.add_affine(
+                    n, tid, line0, chain, func,
+                    now - nominal_ns - accum_before, period,
+                )
             else:
                 # The chunk-completion event was scheduled ceil(nominal*rate)
                 # after the chunk started, so the span start must use the
                 # same ceil rounding: with a floor here, start_real lands up
                 # to 1 ns late and sample times can drift past the chunk
-                # edge (`when > now` for the last sample).  The clamp guards
-                # the residual failure mode: at extreme virtual times (near
-                # 2^62) the float64 product itself drifts by more than the
-                # ceil start absorbs, and a sample must never postdate the
-                # chunk edge it was delivered at.
-                start_real = now - math.ceil(nominal_ns * rate)
-                append = buf.append
-                for k in range(1, n + 1):
-                    cpu_offset = k * period - accum_before
-                    when = start_real + int(cpu_offset * rate)
-                    if when > now:
-                        when = now
-                    append(_new(Sample, (when, tid, line0, chain, func)))
+                # edge (`when > now` for the last sample).  The clamp in
+                # _rescale_times guards the residual failure mode: at
+                # extreme virtual times (near 2^62) the float64 product
+                # itself drifts by more than the ceil start absorbs, and a
+                # sample must never postdate the chunk edge it was
+                # delivered at.
+                buf.add_rescale(
+                    n, tid, line0, chain, func,
+                    now - math.ceil(nominal_ns * rate),
+                    accum_before, rate, period, now,
+                )
             self.total_samples += n
         if allow_flush and len(thread.sample_buffer) >= self.batch_size:
             batch = thread.sample_buffer
@@ -317,7 +287,7 @@ class Sampler:
             return batch
         return None
 
-    def drain(self, thread: "VThread"):
+    def drain(self, thread: "VThread") -> ColumnarBuf:
         """Flush whatever is buffered, regardless of batch size."""
         batch = thread.sample_buffer
         thread.sample_buffer = self.new_buffer()

@@ -643,10 +643,8 @@ def _overlay_threads(
         t.profiler_cpu_ns = d["profiler_cpu_ns"]
         t.pause_ns = d["pause_ns"]
         t.sample_accum = d["sample_accum"]
-        # rehydrate through the sampler so the buffer matches the engine's
-        # pipeline: a plain list (scalar) or a ColumnarBuf carrying the
-        # captured Samples as a literal segment (columnar) — the capture
-        # wire format (a materialized Sample tuple) is pipeline-agnostic
+        # captured as materialized Sample tuples; rehydrated as one
+        # literal segment of a ColumnarBuf
         t.sample_buffer = engine.sampler.new_buffer(d["sample_buffer"])
         t.pending_pause_ns = d["pending_pause_ns"]
         t.pending_cpu_ns = d["pending_cpu_ns"]

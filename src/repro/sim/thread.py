@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.sim.sampler import ColumnarBuf
 from repro.sim.source import RUNTIME_LINE, SourceLine
 
 
@@ -117,7 +118,7 @@ class VThread:
         #: per-thread sample accumulator (ns of CPU since last sample)
         self.sample_accum: int = 0
         #: buffered samples awaiting batch processing
-        self.sample_buffer: List = []
+        self.sample_buffer: ColumnarBuf = ColumnarBuf()
         #: profiler-requested pause to insert before the thread continues
         self.pending_pause_ns: int = 0
         #: profiler-requested CPU cost to charge before the thread continues

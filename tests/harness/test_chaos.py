@@ -15,7 +15,12 @@ import pytest
 
 from repro.apps import registry
 from repro.apps.example import build_example
-from repro.harness import ProfileRequest, run_profile_session
+from repro.harness import (
+    ExecutionConfig,
+    ProfileRequest,
+    ResilienceConfig,
+    run_profile_session,
+)
 from repro.harness.parallel import ParallelExecutionWarning
 from repro.sim.faults import FaultPlan
 
@@ -25,9 +30,9 @@ def _spec():
     return build_example(rounds=30)
 
 
-def _session(plan, runs=3, **kw):
+def _session(plan, runs=3):
     return run_profile_session(
-        _spec(), ProfileRequest(runs=runs, faults=plan, **kw)
+        _spec(), ProfileRequest(runs=runs, resilience=ResilienceConfig(faults=plan))
     )
 
 
@@ -85,8 +90,11 @@ def test_chaos_parallel_matches_serial():
     plan = replace(
         FaultPlan.chaos(seed=3, intensity=0.5), worker_kill=0.0, worker_hang=0.0
     )
-    serial = run_profile_session(spec, ProfileRequest(runs=6, jobs=1, faults=plan))
-    parallel = run_profile_session(spec, ProfileRequest(runs=6, jobs=2, faults=plan))
+    resilience = ResilienceConfig(faults=plan)
+    serial = run_profile_session(spec, ProfileRequest(
+        runs=6, execution=ExecutionConfig(jobs=1), resilience=resilience))
+    parallel = run_profile_session(spec, ProfileRequest(
+        runs=6, execution=ExecutionConfig(jobs=2), resilience=resilience))
     assert parallel.data == serial.data
     assert parallel.data.to_json() == serial.data.to_json()
     _accounted(parallel, 6)
@@ -97,11 +105,17 @@ def test_chaos_parallel_matches_serial():
 
 def test_worker_kill_is_retried_to_a_clean_session():
     spec = registry.build("example")
-    clean = run_profile_session(spec, ProfileRequest(runs=2, jobs=1))
+    clean = run_profile_session(
+        spec, ProfileRequest(runs=2, execution=ExecutionConfig(jobs=1))
+    )
     with pytest.warns(ParallelExecutionWarning, match="retrying in parent|worker"):
         chaotic = run_profile_session(
             spec,
-            ProfileRequest(runs=2, jobs=2, faults=FaultPlan(seed=1, worker_kill=1.0)),
+            ProfileRequest(
+                runs=2,
+                execution=ExecutionConfig(jobs=2),
+                resilience=ResilienceConfig(faults=FaultPlan(seed=1, worker_kill=1.0)),
+            ),
         )
     assert not chaotic.degraded
     assert chaotic.data == clean.data
@@ -110,12 +124,19 @@ def test_worker_kill_is_retried_to_a_clean_session():
 
 def test_worker_hang_recovers_within_deadline():
     spec = registry.build("example")
-    clean = run_profile_session(spec, ProfileRequest(runs=2, jobs=1))
+    clean = run_profile_session(
+        spec, ProfileRequest(runs=2, execution=ExecutionConfig(jobs=1))
+    )
     plan = FaultPlan(seed=1, worker_hang=1.0, worker_hang_s=30.0)
     start = time.monotonic()
     with pytest.warns(ParallelExecutionWarning):
         chaotic = run_profile_session(
-            spec, ProfileRequest(runs=2, jobs=2, faults=plan, timeout=1.0)
+            spec,
+            ProfileRequest(
+                runs=2,
+                execution=ExecutionConfig(jobs=2, timeout=1.0),
+                resilience=ResilienceConfig(faults=plan),
+            ),
         )
     elapsed = time.monotonic() - start
     assert elapsed < 20.0  # bounded by the deadline, not the 30 s hang
@@ -129,11 +150,13 @@ def test_worker_hang_recovers_within_deadline():
 _CHILD = """
 import sys
 from repro.apps import registry
-from repro.harness import ProfileRequest, run_profile_session
+from repro.harness import ProfileRequest, ResilienceConfig, run_profile_session
 
 run_profile_session(
     registry.build("example"),
-    ProfileRequest(runs=int(sys.argv[2]), journal=sys.argv[1]),
+    ProfileRequest(
+        runs=int(sys.argv[2]), resilience=ResilienceConfig(journal=sys.argv[1])
+    ),
 )
 """
 
@@ -179,7 +202,9 @@ def test_sigkilled_session_resumes_bit_identically(tmp_path):
     with warnings.catch_warnings():
         # a torn final record is expected after a SIGKILL mid-append
         warnings.simplefilter("ignore", UserWarning)
-        resumed = run_profile_session(spec, ProfileRequest(runs=runs, resume=path))
+        resumed = run_profile_session(
+            spec, ProfileRequest(runs=runs, resilience=ResilienceConfig(resume=path))
+        )
 
     assert resumed.data == uninterrupted.data
     assert resumed.data.to_json() == uninterrupted.data.to_json()

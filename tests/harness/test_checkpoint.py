@@ -18,6 +18,7 @@ from repro.harness.checkpoint import (
     clear_memory_cache,
     execute_run,
 )
+from repro.harness.request import ExecutionConfig
 from repro.harness.runner import ProfileRequest, run_profile_session
 from repro.sim.snapshot import SNAPSHOT_VERSION, EngineSnapshot
 
@@ -189,9 +190,9 @@ def _session(jobs=1, checkpoint=True, checkpoint_dir=None):
         spec,
         ProfileRequest(
             runs=2,
-            jobs=jobs,
-            checkpoint=checkpoint,
-            checkpoint_dir=checkpoint_dir,
+            execution=ExecutionConfig(
+                jobs=jobs, checkpoint=checkpoint, checkpoint_dir=checkpoint_dir
+            ),
         ),
     )
 

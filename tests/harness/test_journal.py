@@ -8,8 +8,10 @@ import pytest
 from repro.apps import registry
 from repro.core.profile_data import RunFailure
 from repro.harness import (
+    ExecutionConfig,
     JournalError,
     ProfileRequest,
+    ResilienceConfig,
     SessionJournal,
     run_profile_session,
     session_fingerprint,
@@ -171,8 +173,8 @@ def test_fingerprint_excludes_execution_knobs():
     base = ProfileRequest(runs=3)
     fp = session_fingerprint(spec, base, base.coz_config or _default_cfg(spec))
     for variant in (
-        ProfileRequest(runs=3, jobs=4),
-        ProfileRequest(runs=3, timeout=9.0),
+        ProfileRequest(runs=3, execution=ExecutionConfig(jobs=4)),
+        ProfileRequest(runs=3, execution=ExecutionConfig(timeout=9.0)),
         ProfileRequest(runs=3, audit=True),
     ):
         assert session_fingerprint(
@@ -209,10 +211,16 @@ def test_interrupted_session_resumes_bit_identically(tmp_path):
 
     # die after 2 of 4 runs, then resume
     partial = run_profile_session(
-        spec, ProfileRequest(runs=runs, journal=path, stop_after_runs=2)
+        spec,
+        ProfileRequest(
+            runs=runs,
+            resilience=ResilienceConfig(journal=path, stop_after_runs=2),
+        ),
     )
     assert len(partial.run_results) == 2
-    resumed = run_profile_session(spec, ProfileRequest(runs=runs, resume=path))
+    resumed = run_profile_session(
+        spec, ProfileRequest(runs=runs, resilience=ResilienceConfig(resume=path))
+    )
 
     assert resumed.data == uninterrupted.data
     assert resumed.data.to_json() == uninterrupted.data.to_json()
@@ -224,8 +232,12 @@ def test_interrupted_session_resumes_bit_identically(tmp_path):
 def test_resume_with_nothing_left_replays_everything(tmp_path):
     spec = registry.build("example")
     path = str(tmp_path / "session.jsonl")
-    full = run_profile_session(spec, ProfileRequest(runs=3, journal=path))
-    replayed = run_profile_session(spec, ProfileRequest(runs=3, resume=path))
+    full = run_profile_session(
+        spec, ProfileRequest(runs=3, resilience=ResilienceConfig(journal=path))
+    )
+    replayed = run_profile_session(
+        spec, ProfileRequest(runs=3, resilience=ResilienceConfig(resume=path))
+    )
     assert replayed.data == full.data
 
 
@@ -249,9 +261,15 @@ def test_compare_journals_unprofiled_runs_and_resumes(tmp_path):
 
 def test_resume_refuses_other_apps_journal(tmp_path):
     path = str(tmp_path / "session.jsonl")
-    run_profile_session(registry.build("example"), ProfileRequest(runs=2, journal=path))
+    run_profile_session(
+        registry.build("example"),
+        ProfileRequest(runs=2, resilience=ResilienceConfig(journal=path)),
+    )
     with pytest.raises(JournalError, match="different session"):
-        run_profile_session(registry.build("ferret"), ProfileRequest(runs=2, resume=path))
+        run_profile_session(
+            registry.build("ferret"),
+            ProfileRequest(runs=2, resilience=ResilienceConfig(resume=path)),
+        )
 
 
 # -- exclusive create / create-or-resume -----------------------------------------

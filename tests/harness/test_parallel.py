@@ -24,6 +24,7 @@ from repro.harness.parallel import (
     ParallelExecutionWarning,
     resolve_jobs,
 )
+from repro.harness.request import ExecutionConfig
 from repro.harness.runner import ProfileRequest, profile_app, run_profile_session
 from repro.sim.clock import MS
 
@@ -119,7 +120,11 @@ def test_parallel_profile_identical_to_serial(app, kwargs, cfg_kwargs):
 
 def test_run_profile_session_with_request():
     spec = registry.build("example", rounds=20)
-    request = ProfileRequest(runs=2, coz_config=_small_cfg(spec.scope), jobs=2)
+    request = ProfileRequest(
+        runs=2,
+        coz_config=_small_cfg(spec.scope),
+        execution=ExecutionConfig(jobs=2),
+    )
     out = run_profile_session(spec, request)
     assert len(out.data.runs) == 2
     assert out.experiment_count > 0

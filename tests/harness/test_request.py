@@ -1,4 +1,4 @@
-"""Grouped ProfileRequest sub-configs and their legacy flat-kwarg shims."""
+"""Grouped ProfileRequest sub-configs."""
 
 import warnings
 
@@ -13,7 +13,6 @@ from repro.harness import (
     session_fingerprint,
 )
 from repro.plan import PlanConfig
-from repro.sim.faults import FaultPlan
 
 
 def _fingerprint(request):
@@ -32,35 +31,18 @@ def test_grouped_construction_is_silent():
             resilience=ResilienceConfig(stop_after_runs=1),
             plan=PlanConfig(planner="adaptive", budget=3),
         )
-    assert request.jobs == 2
-    assert request.timeout == 9.0
-    assert request.stop_after_runs == 1
-    assert request.planner == "adaptive"
-    assert request.budget == 3
-
-
-def test_flat_kwargs_warn_and_fold_into_groups():
-    plan = FaultPlan(seed=1)
-    with pytest.warns(DeprecationWarning, match="flat ProfileRequest kwargs"):
-        legacy = ProfileRequest(runs=4, jobs=2, timeout=9.0, faults=plan)
-    grouped = ProfileRequest(
-        runs=4,
-        execution=ExecutionConfig(jobs=2, timeout=9.0),
-        resilience=ResilienceConfig(faults=plan),
-    )
-    assert legacy == grouped
-    assert legacy.execution == grouped.execution
-    assert legacy.resilience == grouped.resilience
-
-
-def test_flat_kwarg_conflicts_with_its_group():
-    with pytest.raises(ValueError, match="jobs= conflicts with execution="):
-        ProfileRequest(jobs=2, execution=ExecutionConfig(jobs=4))
+    assert request.execution.jobs == 2
+    assert request.execution.timeout == 9.0
+    assert request.resilience.stop_after_runs == 1
+    assert request.plan.planner == "adaptive"
+    assert request.plan.budget == 3
 
 
 def test_unknown_kwargs_still_raise():
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        ProfileRequest(workers=3)
+    # jobs= names a field of ExecutionConfig, not of the request itself
+    for kwargs in ({"workers": 3}, {"jobs": 2}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ProfileRequest(**kwargs)
 
 
 def test_fingerprint_ignores_execution_but_not_plan():

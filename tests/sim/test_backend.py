@@ -6,7 +6,7 @@ selection plumbing (env vars, ``SimConfig`` pins, fail-loud explicit
 requests) is tested either way.
 
 The heart of the file re-runs representative golden-trace cells under every
-backend x sample-pipeline combination and demands the recorded hashes —
+available backend and demands the recorded hashes —
 the same gate ``tests/sim/test_golden_trace.py`` pins for the default
 configuration.  Session cells run observer-free, so the compiled loop
 actually engages there; program cells attach a ``TraceHasher`` observer,
@@ -39,19 +39,14 @@ _spec.loader.exec_module(_gt)
 MATRIX_CELLS = ("example_session", "ferret_session", "example_jitter")
 
 BACKENDS = ["pure"] + (["accel"] if accel_available() else [])
-PIPELINES = ["scalar", "columnar"]
 
 
 @pytest.mark.parametrize("cell", MATRIX_CELLS)
-@pytest.mark.parametrize("pipeline", PIPELINES)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_golden_hashes_hold_for_every_backend_pipeline_combo(
-    monkeypatch, backend, pipeline, cell
-):
+def test_golden_hashes_hold_for_every_backend(monkeypatch, backend, cell):
     monkeypatch.setenv(backend_mod.BACKEND_ENV, backend)
-    monkeypatch.setenv(backend_mod.PIPELINE_ENV, pipeline)
     assert _gt.CELLS[cell]() == _gt.GOLDEN[cell], (
-        f"{cell} diverged under backend={backend} pipeline={pipeline}"
+        f"{cell} diverged under backend={backend}"
     )
 
 
@@ -118,9 +113,6 @@ def test_explicit_accel_without_core_fails_loudly(monkeypatch):
     assert backend_mod.resolve_backend(None) == "pure"
 
 
-def test_unknown_backend_and_pipeline_names_are_rejected(monkeypatch):
+def test_unknown_backend_and_pipeline_names_are_rejected():
     with pytest.raises(ValueError):
         backend_mod.resolve_backend("fast")
-    monkeypatch.setenv(backend_mod.PIPELINE_ENV, "rowwise")
-    with pytest.raises(ValueError):
-        backend_mod.default_columnar()

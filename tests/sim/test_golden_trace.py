@@ -9,7 +9,8 @@ verified bit-identical against the version-1 hashes immediately before the
 wire flip, so trace identity still chains back to the original recording.
 Every cell runs
 an app x config combination — serial/parallel sessions, sampling on/off,
-sample-phase jitter on/off, nanosleep jitter on/off, interference on/off —
+sample-phase jitter on/off, nanosleep jitter on/off, interference on/off,
+sample loss/duplication on/off —
 and fingerprints everything observable about the execution:
 
 * the merged :class:`~repro.core.profile_data.ProfileData` wire bytes
@@ -43,6 +44,7 @@ from repro.core.profiler import CausalProfiler
 from repro.harness.request import ExecutionConfig
 from repro.harness.runner import ProfileRequest, run_profile_session
 from repro.sim.clock import MS
+from repro.sim.faults import FaultPlan
 from repro.sim.trace import TraceHasher
 
 
@@ -120,6 +122,13 @@ CELLS = {
         lambda: build_example(rounds=40), seed=5,
         coz_kwargs={"enable_sampling": False}, record_samples=False,
     ),
+    # lossy ring buffer: every delivered batch passes through
+    # FaultInjector.perturb_batch, so the profiler and the hasher see
+    # dropped and duplicated samples re-wrapped as a literal segment
+    "example_chaos": _program_cell(
+        lambda: build_example(rounds=40), seed=5,
+        sim_override={"faults": FaultPlan(seed=1, sample_loss=0.5, sample_dup=0.5)},
+    ),
     "streamcluster_interference": _program_cell(
         lambda: build_streamcluster(n_threads=4, n_phases=40), seed=7
     ),
@@ -134,6 +143,7 @@ CELLS = {
 # Trace identity chains to the pre-optimization engine; bytes re-recorded
 # for wire format v2 (interned line table) — see module doc.
 GOLDEN = {
+    "example_chaos": "b6b4ab079a64cb3ac4f51a7fa4df5eb96ccd0ca8f3054480b0797b4a2b240abd",
     "example_cozjitter": "39dfbd00a904be109ecf8823ec9a47a3b2b505d05c46a808b1458f6a8fe9e92d",
     "example_jitter": "8e0552a088f1d57e532dae8dc25ebfa54ad1759580910c3470e058ed27f9a63c",
     "example_nojitter": "00a81d641a380220c227519bb5eceb7f3637a004f548f96adedf9e924231ab32",

@@ -1,20 +1,21 @@
-"""Columnar ≡ scalar sample-pipeline equivalence (DESIGN.md §5i).
+"""Sample-pipeline identity against a per-sample reference (DESIGN.md §5i).
 
-The columnar pipeline stores run-length-encoded segments and expands sample
+The sampler stores run-length-encoded segments and expands sample
 timestamps lazily — with numpy vector ops for long segments.  Its contract
-is *byte identity* with the scalar reference: same Sample tuples, same batch
-boundaries, same snapshot bytes.  These tests pin that contract:
+is *byte identity* with the per-sample reference loop below
+(:func:`_reference_samples`): same Sample tuples, same batch boundaries,
+same snapshot bytes.  These tests pin that contract:
 
 * a deterministic fuzz sweep drives random chunk sequences (periods, rates,
   batch sizes, carry-in accumulators, segment lengths straddling
-  ``VECTOR_MIN``) through both pipelines and compares everything;
+  ``VECTOR_MIN``) through the sampler and the reference and compares
+  everything;
 * the ``SAFE_TIME_MAX`` (2^62) regression: near the int64/float64 ceiling
-  the vector paths must hand off to the exact arbitrary-precision scalar
-  loop instead of wrapping around;
-* snapshot round trip: a mid-chunk columnar buffer captures to the
-  pipeline-agnostic Sample-tuple wire format and rehydrates as a literal
-  segment, and mid-run engine snapshots resume bit-identically under both
-  pipelines.
+  the vector paths must hand off to exact arbitrary-precision arithmetic
+  instead of wrapping around;
+* snapshot round trip: a mid-chunk buffer captures to the Sample-tuple wire
+  format and rehydrates as a literal segment, and mid-run engine snapshots
+  resume bit-identically.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.sim.sampler import (
     SAFE_TIME_MAX,
     VECTOR_MIN,
     ColumnarBuf,
+    Sample,
     Sampler,
 )
 from repro.sim.source import line
@@ -45,22 +47,67 @@ def _thread(tid=0):
     return VThread(body, tid=tid)
 
 
-def _drive(columnar, chunks, period, batch):
-    """One chunk sequence through one pipeline -> (batches, tail, total)."""
-    s = Sampler(period_ns=period, batch_size=batch, columnar=columnar)
+def _reference_samples(t, nominal, now, rate, period):
+    """Every sample one ``Sampler.account`` call takes, one at a time.
+
+    The oracle: the straightforward per-sample loop, with the ceil-rounded
+    chunk start and the chunk-edge clamp on the rescale branch.
+    """
+    accum_before = t.sample_accum
+    n = (accum_before + nominal) // period
+    t.sample_accum = accum_before + nominal - n * period
+    if not n:
+        return []
+    chain = t.callchain()
+    func = t.current_func()
+    if rate == 1.0:
+        base = now - nominal - accum_before
+        times = [base + k * period for k in range(1, n + 1)]
+    else:
+        start_real = now - math.ceil(nominal * rate)
+        times = [
+            min(start_real + int((k * period - accum_before) * rate), now)
+            for k in range(1, n + 1)
+        ]
+    return [Sample(when, t.tid, chain[0], chain, func) for when in times]
+
+
+def _enter(t, ln, func, callsite):
+    t.activity_line = ln
+    t.stack = [Frame(func, callsite)] if func else []
+    t.chain_cache = None
+
+
+def _drive(chunks, period, batch):
+    """One chunk sequence through the sampler -> (batches, tail, total)."""
+    s = Sampler(period_ns=period, batch_size=batch)
     t = _thread()
-    t.sample_buffer = s.new_buffer()
     batches = []
     now = 0
     for ln, func, callsite, nominal, rate, allow_flush in chunks:
-        t.activity_line = ln
-        t.stack = [Frame(func, callsite)] if func else []
-        t.chain_cache = None
+        _enter(t, ln, func, callsite)
         now += math.ceil(nominal * rate)
         b = s.account(t, nominal, now=now, allow_flush=allow_flush, rate=rate)
         if b is not None:
             batches.append(list(b))
     return batches, list(t.sample_buffer), s.total_samples
+
+
+def _drive_reference(chunks, period, batch):
+    """The same chunk sequence through the reference loop and a list."""
+    t = _thread()
+    buf, batches, total = [], [], 0
+    now = 0
+    for ln, func, callsite, nominal, rate, allow_flush in chunks:
+        _enter(t, ln, func, callsite)
+        now += math.ceil(nominal * rate)
+        samples = _reference_samples(t, nominal, now, rate, period)
+        buf += samples
+        total += len(samples)
+        if allow_flush and len(buf) >= batch:
+            batches.append(buf)
+            buf = []
+    return batches, buf, total
 
 
 def _random_chunks(rng, period):
@@ -79,16 +126,16 @@ def _random_chunks(rng, period):
 
 @pytest.mark.parametrize("seed", range(15))
 def test_columnar_pipeline_is_byte_identical_to_scalar(seed):
-    """Property: any chunk sequence yields identical batches and buffers."""
+    """Property: any chunk sequence yields the reference's batches and buffer."""
     rng = random.Random(seed)
     period = rng.randrange(50, 5000)
     batch = rng.randrange(1, 40)
     chunks = _random_chunks(rng, period)
-    s_batches, s_tail, s_total = _drive(False, chunks, period, batch)
-    c_batches, c_tail, c_total = _drive(True, chunks, period, batch)
-    assert c_batches == s_batches, f"batch divergence (seed {seed})"
-    assert c_tail == s_tail, f"tail-buffer divergence (seed {seed})"
-    assert c_total == s_total
+    want_batches, want_tail, want_total = _drive_reference(chunks, period, batch)
+    got_batches, got_tail, got_total = _drive(chunks, period, batch)
+    assert got_batches == want_batches, f"batch divergence (seed {seed})"
+    assert got_tail == want_tail, f"tail-buffer divergence (seed {seed})"
+    assert got_total == want_total
 
 
 @pytest.mark.parametrize("rate", [1.0, 1.0009, 2.5])
@@ -98,7 +145,7 @@ def test_near_2_62_times_take_the_exact_slow_path(rate):
     At virtual times around 2^62 the vectorized ``base + k*period`` /
     ``cpu * rate`` math can overflow int64 or lose float64 precision, so
     ``account`` must fall back to exact Python integers there — and stay
-    byte-identical to the scalar pipeline, with no sample past the chunk
+    byte-identical to the reference loop, with no sample past the chunk
     edge.
     """
     period = 1000
@@ -106,29 +153,25 @@ def test_near_2_62_times_take_the_exact_slow_path(rate):
     nominal = period * n_samples
     now = SAFE_TIME_MAX + math.ceil(nominal * rate)
 
-    def run(columnar):
-        s = Sampler(period_ns=period, batch_size=10_000, columnar=columnar)
-        t = _thread()
-        t.sample_buffer = s.new_buffer()
-        t.activity_line = LINES[0]
-        s.account(t, nominal, now=now, rate=rate)
-        return list(t.sample_buffer)
-
-    scalar, columnar = run(False), run(True)
-    assert columnar == scalar
-    assert len(scalar) == n_samples
-    assert all(s.time <= now for s in scalar)
+    t = _thread()
+    t.activity_line = LINES[0]
+    Sampler(period_ns=period, batch_size=10_000).account(t, nominal, now=now, rate=rate)
+    ref = _thread()
+    ref.activity_line = LINES[0]
+    expected = _reference_samples(ref, nominal, now, rate, period)
+    assert list(t.sample_buffer) == expected
+    assert len(expected) == n_samples
+    assert all(s.time <= now for s in expected)
     # exact arithmetic, not a wrapped int64: every timestamp is positive
     # and sits inside the chunk span
     start = now - math.ceil(nominal * rate)
-    assert all(start < s.time <= now for s in scalar)
+    assert all(start < s.time <= now for s in expected)
 
 
 def test_columnar_buffer_snapshot_round_trip():
     """Mid-chunk buffers capture as Sample tuples and rehydrate losslessly."""
-    s = Sampler(period_ns=1000, batch_size=10_000, columnar=True)
+    s = Sampler(period_ns=1000, batch_size=10_000)
     t = _thread()
-    t.sample_buffer = s.new_buffer()
     now = 0
     for i, nominal in enumerate([2_500, 40_000, 777]):
         t.activity_line = LINES[i % len(LINES)]
@@ -152,9 +195,8 @@ def test_columnar_buffer_snapshot_round_trip():
     assert len(restored) == len(captured) + 5
 
 
-@pytest.mark.parametrize("columnar", [False, True])
-def test_mid_run_snapshot_resume_identity_per_pipeline(columnar):
-    """Engine snapshots taken mid-run resume bit-identically per pipeline."""
+def test_mid_run_snapshot_resume_identity():
+    """Engine snapshots taken mid-run resume bit-identically."""
     from repro.apps import registry
     from repro.core.config import CozConfig
     from repro.core.profiler import CausalProfiler
@@ -163,7 +205,7 @@ def test_mid_run_snapshot_resume_identity_per_pipeline(columnar):
 
     seed = 3
     spec = registry.build("example", rounds=40)
-    config = replace(spec.build(seed).config, columnar_samples=columnar)
+    config = spec.build(seed).config
 
     def fingerprint(result, prof):
         return (
@@ -188,5 +230,5 @@ def test_mid_run_snapshot_resume_identity_per_pipeline(columnar):
         )
         warm = spec.build(seed).resume(snap, hook=prof2, config=config)
         assert fingerprint(warm, prof2) == want, (
-            f"resume at t={snap.when} diverged (columnar={columnar})"
+            f"resume at t={snap.when} diverged"
         )
