@@ -56,24 +56,28 @@ def build_blackscholes(
     loop_ns = int(round_ns * (1.0 - kernel_share))
 
     def make(seed: int = 0) -> Program:
-        def main(t):
-            barrier = Barrier(n_threads)
+        # one round's constant ops, built once
+        round_work = tuple(
+            Work(src, scaled(kernel_ns, line_factor(ls, src))) for src in KERNEL_LINES
+        ) + (Work(LINE_LOOP, scaled(loop_ns, line_factor(ls, LINE_LOOP))),)
+        reach_progress = Work(LINE_PROGRESS_SRC, 0)
+        round_done = Progress(PROGRESS)
 
-            def worker(t2, wid: int):
+        def main(t):
+            barrier_wait = BarrierWait(Barrier(n_threads))
+
+            def worker(t2):
                 for _ in range(n_rounds):
-                    for src in KERNEL_LINES:
-                        yield Work(src, scaled(kernel_ns, line_factor(ls, src)))
-                    yield Work(LINE_LOOP, scaled(loop_ns, line_factor(ls, LINE_LOOP)))
-                    serial = yield BarrierWait(barrier)
+                    for op in round_work:
+                        yield op
+                    serial = yield barrier_wait
                     if serial:
-                        yield Work(LINE_PROGRESS_SRC, 0)
-                        yield Progress(PROGRESS)
+                        yield reach_progress
+                        yield round_done
 
             workers = []
             for wid in range(n_threads):
-                def body(t2, wid=wid):
-                    yield from worker(t2, wid)
-                workers.append((yield Spawn(body, f"bs-{wid}")))
+                workers.append((yield Spawn(worker, f"bs-{wid}")))
             for w in workers:
                 yield Join(w)
 

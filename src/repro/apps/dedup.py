@@ -19,6 +19,7 @@ traversal itself gets ~96% faster (the §4.3 accuracy study).
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, Optional
 
 from repro.apps.hashtable import HASH_VARIANTS, HashTable, make_keys
@@ -26,7 +27,7 @@ from repro.apps.spec import AppSpec, line_factor, scaled
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
-from repro.sim.ops import Join, Progress, Spawn, Work, call
+from repro.sim.ops import POP_FRAME, Join, Progress, Spawn, Work, push_frame
 from repro.sim.program import Program
 from repro.sim.source import Scope, SourceLine, line
 from repro.sim.sync import Channel
@@ -74,8 +75,22 @@ def build_dedup(
     ls = line_speedups
 
     def make(seed: int = 0) -> Program:
+        # constant ops, built once: each stage's call frame and its work
+        enter_fragment = push_frame("fragment")
+        fragment = _scaled_work(LINE_FRAGMENT, fragment_ns, ls)
+        enter_sha1 = push_frame("sha1")
+        sha1 = _scaled_work(LINE_SHA, sha_ns, ls)
+        enter_search = push_frame("hashtable_search")
+        search_base = (
+            _scaled_work(LINE_HASH_BASE, search_base_ns, ls) if search_base_ns else None
+        )
+        loop_factor = line_factor(ls, LINE_HASH_LOOP)
+        enter_compress = push_frame("compress")
+        compress = _scaled_work(LINE_COMPRESS, compress_ns, ls)
+        reach_progress = Work(LINE_PROGRESS, 0)
+        block_compressed = Progress(PROGRESS)
+
         def main(t):
-            rng = random.Random(seed ^ 0xDED0)
             keys = make_keys(n_keys, seed=7)  # fixed corpus, like an input file
             table = HashTable(buckets=buckets, hash_fn=HASH_VARIANTS[variant])
             for k in keys:
@@ -89,25 +104,29 @@ def build_dedup(
                     item = yield from frag_to_hash_feed.get()
                     if item is Channel.CLOSED:
                         break
-                    yield from call(
-                        "fragment",
-                        _work(LINE_FRAGMENT, fragment_ns, ls),
-                    )
+                    yield enter_fragment
+                    yield fragment
+                    yield POP_FRAME
                     yield from frag_to_hash.put(item)
 
-            def hash_worker(t2, wid):
+            def hash_worker(wid, t2):
                 wrng = random.Random((seed << 4) ^ wid)
                 while True:
                     item = yield from frag_to_hash.get()
                     if item is Channel.CLOSED:
                         break
                     key = keys[wrng.randrange(len(keys))]
-                    yield from call("sha1", _work(LINE_SHA, sha_ns, ls))
+                    yield enter_sha1
+                    yield sha1
+                    yield POP_FRAME
                     _value, links = table.search(key)
-                    yield from call(
-                        "hashtable_search",
-                        _search(links, search_base_ns, search_iter_ns, ls),
-                    )
+                    # hashtable_search: hash/index computation plus the
+                    # chain-walk loop
+                    yield enter_search
+                    if search_base is not None:
+                        yield search_base
+                    yield Work(LINE_HASH_LOOP, scaled(links * search_iter_ns, loop_factor))
+                    yield POP_FRAME
                     yield from hash_to_comp.put(item)
 
             def compress_worker(t2):
@@ -115,9 +134,11 @@ def build_dedup(
                     item = yield from hash_to_comp.get()
                     if item is Channel.CLOSED:
                         break
-                    yield from call("compress", _work(LINE_COMPRESS, compress_ns, ls))
-                    yield Work(LINE_PROGRESS, 0)
-                    yield Progress(PROGRESS)
+                    yield enter_compress
+                    yield compress
+                    yield POP_FRAME
+                    yield reach_progress
+                    yield block_compressed
 
             # the input feed: fragmentation stage pulls raw blocks
             frag_to_hash_feed = Channel(32, "input")
@@ -126,9 +147,7 @@ def build_dedup(
             for i in range(threads_per_stage):
                 workers.append((yield Spawn(fragment_worker, f"frag-{i}")))
             for i in range(threads_per_stage):
-                def hash_body(t2, wid=i):
-                    yield from hash_worker(t2, wid)
-                workers.append((yield Spawn(hash_body, f"hash-{i}")))
+                workers.append((yield Spawn(partial(hash_worker, i), f"hash-{i}")))
             for i in range(threads_per_stage):
                 workers.append((yield Spawn(compress_worker, f"comp-{i}")))
 
@@ -168,13 +187,5 @@ def build_dedup(
     )
 
 
-def _work(src: SourceLine, ns: int, line_speedups) -> object:
-    yield Work(src, scaled(ns, line_factor(line_speedups, src)))
-
-
-def _search(links: int, base_ns: int, iter_ns: int, line_speedups):
-    """hashtable_search: hash/index computation plus the chain-walk loop."""
-    if base_ns:
-        yield Work(LINE_HASH_BASE, scaled(base_ns, line_factor(line_speedups, LINE_HASH_BASE)))
-    total = links * iter_ns
-    yield Work(LINE_HASH_LOOP, scaled(total, line_factor(line_speedups, LINE_HASH_LOOP)))
+def _scaled_work(src: SourceLine, ns: int, line_speedups) -> Work:
+    return Work(src, scaled(ns, line_factor(line_speedups, src)))

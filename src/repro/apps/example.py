@@ -21,13 +21,14 @@ shape to the paper's end-to-end profile:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional
 
 from repro.apps.spec import AppSpec, line_factor, scaled
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
-from repro.sim.ops import BarrierWait, Join, Progress, Spawn, Work, call
+from repro.sim.ops import POP_FRAME, BarrierWait, Join, Progress, Spawn, Work, push_frame
 from repro.sim.program import Program
 from repro.sim.source import Scope, SourceLine, line
 from repro.sim.sync import Barrier
@@ -57,25 +58,24 @@ def build_example(
     b_cost = scaled(b_ns, line_factor(line_speedups, LINE_B))
 
     def make(seed: int = 0) -> Program:
+        # constant ops, built once: a function call wrapping its loop
+        call_a = _call_ops("a", LINE_A, a_cost)
+        call_b = _call_ops("b", LINE_B, b_cost)
+        round_done = Progress("round")
+
         def main(t):
-            barrier = Barrier(2, "round-barrier")
+            wait = BarrierWait(Barrier(2, "round-barrier"))
 
-            def fn_a(t2):
+            def looper(fn_ops, t2):
                 for _ in range(rounds):
-                    yield from call("a", _loop(LINE_A, a_cost))
-                    serial = yield BarrierWait(barrier)
+                    for op in fn_ops:
+                        yield op
+                    serial = yield wait
                     if serial:
-                        yield Progress("round")
+                        yield round_done
 
-            def fn_b(t2):
-                for _ in range(rounds):
-                    yield from call("b", _loop(LINE_B, b_cost))
-                    serial = yield BarrierWait(barrier)
-                    if serial:
-                        yield Progress("round")
-
-            ta = yield Spawn(fn_a, "a_thread")
-            tb = yield Spawn(fn_b, "b_thread")
+            ta = yield Spawn(partial(looper, call_a), "a_thread")
+            tb = yield Spawn(partial(looper, call_b), "b_thread")
             yield Work(LINE_MAIN, 0)
             yield Join(ta)
             yield Join(tb)
@@ -100,10 +100,11 @@ def build_example(
     )
 
 
-def _loop(src: SourceLine, total_ns: int):
-    """The volatile counting loop: all time on one source line."""
+def _call_ops(func: str, src: SourceLine, total_ns: int) -> tuple:
+    """One call to the volatile counting loop: all time on one source line."""
     if total_ns > 0:
-        yield Work(src, total_ns)
+        return (push_frame(func), Work(src, total_ns), POP_FRAME)
+    return (push_frame(func), POP_FRAME)
 
 
 def expected_profile_point(pct: int, a_ns: int = A_NS, b_ns: int = B_NS) -> float:

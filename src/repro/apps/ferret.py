@@ -30,7 +30,7 @@ from repro.apps.spec import AppSpec, line_factor, scaled
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
-from repro.sim.ops import IO, Join, Progress, Spawn, Work, call
+from repro.sim.ops import IO, POP_FRAME, Join, Progress, Spawn, Work, push_frame
 from repro.sim.program import Program
 from repro.sim.source import Scope, SourceLine, line
 from repro.sim.sync import Channel
@@ -81,19 +81,24 @@ def build_ferret(
     ]
 
     def make(seed: int = 0) -> Program:
+        read_image = IO(US(10))
+        output = Work(LINE_OUT, US(15))
+        query_done = Progress(PROGRESS)
+
         def main(t):
-            rng = random.Random(seed ^ 0xFE33E7)
             # queues between the six stages
             queues = [Channel(20, f"q{i}") for i in range(5)]
 
             def input_thread(t2):
                 for q in range(n_queries):
-                    yield IO(US(10))  # read the next image
+                    yield read_image
                     yield from queues[0].put(q)
                 yield from queues[0].close()
 
             def make_stage_worker(idx, callsite, lib_line, func, service_ns, wid):
                 wrng = random.Random((seed << 8) ^ (idx << 4) ^ wid)
+                base = scaled(service_ns, line_factor(ls, callsite))
+                enter = push_frame(func, callsite)
 
                 def worker(t2):
                     inq, outq = queues[idx], queues[idx + 1]
@@ -101,23 +106,23 @@ def build_ferret(
                         item = yield from inq.get(callsite)
                         if item is Channel.CLOSED:
                             break
-                        base = scaled(service_ns, line_factor(ls, callsite))
                         jitter = 1.0 + work_jitter * (2 * wrng.random() - 1.0)
                         dur = max(0, int(base * jitter))
-                        yield from call(func, _lib_work(lib_line, dur), callsite)
+                        yield enter
+                        if dur > 0:
+                            yield Work(lib_line, dur)
+                        yield POP_FRAME
                         yield from outq.put(item, callsite)
 
                 return worker
 
             def output_thread(t2):
-                done = 0
                 while True:
                     item = yield from queues[4].get(LINE_OUT)
                     if item is Channel.CLOSED:
                         break
-                    yield Work(LINE_OUT, US(15))
-                    yield Progress(PROGRESS)
-                    done += 1
+                    yield output
+                    yield query_done
 
             workers = []
             tin = yield Spawn(input_thread, "input")
@@ -160,11 +165,6 @@ def build_ferret(
             "output": LINE_OUT,
         },
     )
-
-
-def _lib_work(src: SourceLine, ns: int):
-    if ns > 0:
-        yield Work(src, ns)
 
 
 def expected_throughput_period(threads: Sequence[int]) -> float:

@@ -20,13 +20,14 @@ no lock.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, Optional
 
 from repro.apps.spec import AppSpec, line_factor, scaled
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
-from repro.sim.ops import IO, Join, Progress, Spawn, Work, call
+from repro.sim.ops import IO, POP_FRAME, Join, Progress, Spawn, Work, push_frame
 from repro.sim.program import Program
 from repro.sim.source import Scope, SourceLine, line
 from repro.sim.sync import Channel, SpinMutex
@@ -61,7 +62,16 @@ def build_memcached(
     """
     ls = line_speedups
 
+    # per-line cost factors, resolved once; the costs themselves are jittered
+    f_parse = line_factor(ls, LINE_PARSE)
+    f_assoc = line_factor(ls, LINE_ASSOC)
+    f_refcount = line_factor(ls, LINE_REFCOUNT)
+    f_respond = line_factor(ls, LINE_RESPOND)
+
     def make(seed: int = 0) -> Program:
+        enter_command = push_frame("process_command")
+        command_done = Progress(PROGRESS)
+
         def main(t):
             requests = Channel(64, "requests")
             stripes = [
@@ -69,7 +79,7 @@ def build_memcached(
                 for i in range(n_stripes)
             ]
 
-            def client(t2, cid: int):
+            def client(cid: int, t2):
                 crng = random.Random((seed << 12) ^ cid)
                 per_client = n_requests // n_clients
                 for _ in range(per_client):
@@ -77,40 +87,35 @@ def build_memcached(
                     yield from requests.put(crng.randrange(1 << 30))
                 return None
 
-            def worker(t2, wid: int):
+            def worker(wid: int, t2):
                 wrng = random.Random((seed << 13) ^ wid)
                 while True:
                     key = yield from requests.get()
                     if key is Channel.CLOSED:
                         break
-                    yield from call("process_command", _handle(key, wrng))
-
-            def _handle(key: int, wrng: random.Random):
-                yield Work(LINE_PARSE, scaled(_jit(wrng, parse_ns), line_factor(ls, LINE_PARSE)))
-                yield Work(LINE_ASSOC, scaled(_jit(wrng, assoc_ns), line_factor(ls, LINE_ASSOC)))
-                # item_remove: decrement the item's reference count
-                stripe = stripes[key % n_stripes]
-                ref_cost = scaled(_jit(wrng, refcount_ns), line_factor(ls, LINE_REFCOUNT))
-                if optimized:
-                    # atomic decrement; no lock needed (the paper's fix)
-                    yield Work(LINE_REFCOUNT, ref_cost)
-                else:
-                    yield from stripe.lock(LINE_ITEM_REMOVE)
-                    yield Work(LINE_REFCOUNT, ref_cost)
-                    yield from stripe.unlock(LINE_ITEM_REMOVE)
-                yield Work(LINE_RESPOND, scaled(_jit(wrng, respond_ns), line_factor(ls, LINE_RESPOND)))
-                yield Progress(PROGRESS)
+                    yield enter_command
+                    yield Work(LINE_PARSE, scaled(_jit(wrng, parse_ns), f_parse))
+                    yield Work(LINE_ASSOC, scaled(_jit(wrng, assoc_ns), f_assoc))
+                    # item_remove: decrement the item's reference count
+                    stripe = stripes[key % n_stripes]
+                    ref_cost = scaled(_jit(wrng, refcount_ns), f_refcount)
+                    if optimized:
+                        # atomic decrement; no lock needed (the paper's fix)
+                        yield Work(LINE_REFCOUNT, ref_cost)
+                    else:
+                        yield from stripe.lock(LINE_ITEM_REMOVE)
+                        yield Work(LINE_REFCOUNT, ref_cost)
+                        yield from stripe.unlock(LINE_ITEM_REMOVE)
+                    yield Work(LINE_RESPOND, scaled(_jit(wrng, respond_ns), f_respond))
+                    yield command_done
+                    yield POP_FRAME
 
             clients = []
             for cid in range(n_clients):
-                def cbody(t2, cid=cid):
-                    yield from client(t2, cid)
-                clients.append((yield Spawn(cbody, f"client-{cid}")))
+                clients.append((yield Spawn(partial(client, cid), f"client-{cid}")))
             workers = []
             for wid in range(n_workers):
-                def wbody(t2, wid=wid):
-                    yield from worker(t2, wid)
-                workers.append((yield Spawn(wbody, f"worker-{wid}")))
+                workers.append((yield Spawn(partial(worker, wid), f"worker-{wid}")))
             for c in clients:
                 yield Join(c)
             yield from requests.close()

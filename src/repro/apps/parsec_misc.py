@@ -111,22 +111,26 @@ def build_parsec_app(
     other_line = line(f"{entry.progress_point.file}:1")
 
     def make(seed: int = 0) -> Program:
+        # one item's ops are all constant: built once.  Reaching the
+        # progress-point line bumps the breakpoint counter; no Progress op needed.
+        item = (
+            (Work(entry.top_line, int(item_ns * entry.top_weight)),)
+            + tuple(Work(src, int(item_ns * w)) for src, w in entry.minor_lines)
+            + (
+                Work(other_line, int(item_ns * other_weight)),
+                Work(entry.progress_point, US(1)),
+            )
+        )
+
         def main(t):
-            def worker(t2, wid: int):
+            def worker(t2):
                 for _ in range(n_items // n_threads):
-                    yield Work(entry.top_line, int(item_ns * entry.top_weight))
-                    for src, w in entry.minor_lines:
-                        yield Work(src, int(item_ns * w))
-                    yield Work(other_line, int(item_ns * other_weight))
-                    # reaching the progress-point line bumps the breakpoint
-                    # counter; no Progress op needed
-                    yield Work(entry.progress_point, US(1))
+                    for op in item:
+                        yield op
 
             workers = []
             for wid in range(n_threads):
-                def body(t2, wid=wid):
-                    yield from worker(t2, wid)
-                workers.append((yield Spawn(body, f"{name}-{wid}")))
+                workers.append((yield Spawn(worker, f"{name}-{wid}")))
             for w in workers:
                 yield Join(w)
 

@@ -13,12 +13,13 @@ change worth 37.5% (fluidanimate) and 68.4% (streamcluster).
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Generator, List, Optional
+from functools import partial
+from typing import Dict, List, Optional
 
 from repro.apps.spec import line_factor, scaled
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
-from repro.sim.ops import BarrierWait, Join, Progress, Spawn, Work
+from repro.sim.ops import BarrierWait, Join, Op, Progress, Spawn, Work
 from repro.sim.source import SourceLine
 from repro.sim.sync import Barrier, SpinBarrier
 
@@ -34,49 +35,48 @@ def build_phased_main(
     progress_name: str,
     seed: int,
     line_speedups: Optional[Dict[SourceLine, float]] = None,
-    extra_per_phase: Optional[Callable[[int, random.Random], Generator]] = None,
+    extra_per_phase: Optional[Op] = None,
     spin_iter_ns: int = US(2),
 ):
     """Build a main generator: N workers x P phases, barrier per phase.
 
     Per phase each worker does ``work_ns`` (+/- ``imbalance`` jitter) of
-    *memory-bound* work spread over ``work_lines``, optionally runs
-    ``extra_per_phase`` (e.g. streamcluster's RNG), then waits at the
-    barrier.  The serial thread fires the progress point once per phase.
+    *memory-bound* work spread over ``work_lines``, optionally yields the
+    constant op ``extra_per_phase`` (e.g. streamcluster's RNG call), then
+    waits at the barrier.  The serial thread fires the progress point once
+    per phase.
     """
+    # per-line cost factors and the progress op, resolved once
+    lines = [(src, line_factor(line_speedups, src)) for src in work_lines]
+    n_lines = len(work_lines)
+    phase_done = Progress(progress_name)
 
     def main(t):
         if use_spin_barrier:
-            barrier = SpinBarrier(n_threads, spin_line, spin_iter_ns=spin_iter_ns)
-            wait = barrier.wait
+            spin_barrier = SpinBarrier(n_threads, spin_line, spin_iter_ns=spin_iter_ns)
+            barrier_wait = None
         else:
-            pbarrier = Barrier(n_threads)
+            barrier_wait = BarrierWait(Barrier(n_threads))
 
-            def wait():
-                serial = yield BarrierWait(pbarrier)
-                return serial
-
-        def worker(t2, wid: int):
+        def worker(wid: int, t2):
             wrng = random.Random((seed << 10) ^ wid)
             for _phase in range(n_phases):
                 jitter = 1.0 + imbalance * (2 * wrng.random() - 1.0)
-                for src in work_lines:
-                    dur = scaled(
-                        int(work_ns * jitter / len(work_lines)),
-                        line_factor(line_speedups, src),
-                    )
+                for src, factor in lines:
+                    dur = scaled(int(work_ns * jitter / n_lines), factor)
                     yield Work(src, dur, memory_bound=True)
                 if extra_per_phase is not None:
-                    yield from extra_per_phase(wid, wrng)
-                serial = yield from wait()
+                    yield extra_per_phase
+                if barrier_wait is not None:
+                    serial = yield barrier_wait
+                else:
+                    serial = yield from spin_barrier.wait()
                 if serial:
-                    yield Progress(progress_name)
+                    yield phase_done
 
         workers = []
         for wid in range(n_threads):
-            def body(t2, wid=wid):
-                yield from worker(t2, wid)
-            workers.append((yield Spawn(body, f"worker-{wid}")))
+            workers.append((yield Spawn(partial(worker, wid), f"worker-{wid}")))
         for w in workers:
             yield Join(w)
 

@@ -27,13 +27,14 @@ prologue cost to the direct-call cost.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, Optional
 
 from repro.apps.spec import AppSpec, line_factor, scaled
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
-from repro.sim.ops import Join, Lock, Progress, Spawn, Unlock, Work, call
+from repro.sim.ops import POP_FRAME, Join, Lock, Progress, Spawn, Unlock, Work, push_frame
 from repro.sim.program import Program
 from repro.sim.source import Scope, SourceLine, line
 from repro.sim.sync import Mutex
@@ -76,41 +77,56 @@ def build_sqlite(
     prologue_ns = DIRECT_NS if optimized else INDIRECT_NS
     ls = line_speedups
 
-    def hot(src: SourceLine):
+    def hot(src: SourceLine) -> Work:
         """One call burst to a tiny function: prologue (indirect call) + body.
         The prologue line carries the whole cost — the line Coz identifies."""
-        cost = scaled(prologue_ns, line_factor(ls, src)) + BODY_NS
-        return Work(src, cost)
+        return Work(src, scaled(prologue_ns, line_factor(ls, src)) + BODY_NS)
 
     def make(seed: int = 0) -> Program:
+        # every op an insert yields that does not depend on the per-thread
+        # jitter is built once here and yielded by every insert
+        bench = Work(LINE_BENCH, US(0.3))
+        pcache_fetch = hot(LINE_PCACHE_FETCH)
+        memsize = hot(LINE_MEMSIZE)
+        mutex_leave = hot(LINE_MUTEX_LEAVE)
+        enter_vdbe = push_frame("sqlite3VdbeExec")
+        enter_btree = push_frame("sqlite3BtreeInsert")
+        row_inserted = Progress(PROGRESS)
+
         def main(t):
             pcache_mutex = Mutex("pcache1")
+            lock = Lock(pcache_mutex, LINE_PCACHE_FETCH)
+            unlock = Unlock(pcache_mutex, LINE_MUTEX_LEAVE)
 
-            def worker(t2, wid: int):
+            def worker(wid: int, t2):
                 wrng = random.Random((seed << 6) ^ wid)
                 for _ in range(inserts_per_thread):
                     # parse/plan + VDBE execution for the INSERT
-                    yield Work(LINE_BENCH, US(0.3))
-                    yield from call("sqlite3VdbeExec", _work(LINE_VDBE, _jit(wrng, vdbe_ns)))
+                    yield bench
+                    vdbe = _jit(wrng, vdbe_ns)
+                    yield enter_vdbe
+                    yield Work(LINE_VDBE, vdbe)
+                    yield POP_FRAME
                     # Fetch pages from the shared page cache.  The critical
                     # section is what serializes the "independent" threads:
                     # real page-cache work plus the three tiny hot functions
                     # whose *prologues* carry the indirect-call overhead.
-                    yield Lock(pcache_mutex, LINE_PCACHE_FETCH)
+                    yield lock
                     yield Work(LINE_PCACHE_BODY, _jit(wrng, pcache_body_ns))
-                    yield hot(LINE_PCACHE_FETCH)
-                    yield hot(LINE_MEMSIZE)
-                    yield hot(LINE_MUTEX_LEAVE)
-                    yield Unlock(pcache_mutex, LINE_MUTEX_LEAVE)
+                    yield pcache_fetch
+                    yield memsize
+                    yield mutex_leave
+                    yield unlock
                     # b-tree insert into the private table
-                    yield from call("sqlite3BtreeInsert", _work(LINE_BTREE, _jit(wrng, btree_ns)))
-                    yield Progress(PROGRESS)
+                    btree = _jit(wrng, btree_ns)
+                    yield enter_btree
+                    yield Work(LINE_BTREE, btree)
+                    yield POP_FRAME
+                    yield row_inserted
 
             workers = []
             for wid in range(threads):
-                def body(t2, wid=wid):
-                    yield from worker(t2, wid)
-                workers.append((yield Spawn(body, f"sqlite-{wid}")))
+                workers.append((yield Spawn(partial(worker, wid), f"sqlite-{wid}")))
             for w in workers:
                 yield Join(w)
 
@@ -137,16 +153,6 @@ def build_sqlite(
             "btree": LINE_BTREE,
         },
     )
-
-
-def _work(src: SourceLine, ns: int):
-    yield Work(src, ns)
-
-
-def _work2(src: SourceLine, prologue_ns: int, body_ns: int):
-    yield Work(src, prologue_ns)
-    if body_ns:
-        yield Work(src, body_ns)
 
 
 def _jit(rng: random.Random, ns: int, jitter: float = 0.1) -> int:

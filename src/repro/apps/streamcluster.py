@@ -9,7 +9,6 @@ whose replacement with a lightweight PRNG yielded a further ~2%.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Optional
 
 from repro.apps.phases import build_phased_main, phased_sim_config
@@ -52,11 +51,8 @@ def build_streamcluster(
         light_rng = optimized
     rng_ns = RNG_LIGHT_NS if light_rng else RNG_HEAVY_NS
 
-    def extra(wid: int, wrng: random.Random):
-        dur = scaled(rng_ns, line_factor(line_speedups, LINE_RNG))
-        yield Work(LINE_RNG, dur)
-
     def make(seed: int = 0) -> Program:
+        rng_call = Work(LINE_RNG, scaled(rng_ns, line_factor(line_speedups, LINE_RNG)))
         main = build_phased_main(
             n_threads=n_threads,
             n_phases=n_phases,
@@ -68,7 +64,7 @@ def build_streamcluster(
             progress_name=PROGRESS,
             seed=seed,
             line_speedups=line_speedups,
-            extra_per_phase=extra,
+            extra_per_phase=rng_call,
         )
         return Program(
             main,

@@ -53,21 +53,25 @@ def build_swaptions(
     tr = int(traverse_ns * (TRAVERSE_OPT_FACTOR if optimized else 1.0))
 
     def make(seed: int = 0) -> Program:
+        # one iteration's ops are all constant: built once
+        iteration = (
+            Work(LINE_ZERO, scaled(z, line_factor(ls, LINE_ZERO))),
+            Work(LINE_FILL, scaled(fill_ns, line_factor(ls, LINE_FILL))),
+            Work(LINE_TRAVERSE, scaled(tr, line_factor(ls, LINE_TRAVERSE))),
+            Work(LINE_PRICE, scaled(price_ns, line_factor(ls, LINE_PRICE))),
+            Work(LINE_PROGRESS_SRC, 0),
+            Progress(PROGRESS),
+        )
+
         def main(t):
-            def worker(t2, wid: int):
+            def worker(t2):
                 for _ in range(n_iters):
-                    yield Work(LINE_ZERO, scaled(z, line_factor(ls, LINE_ZERO)))
-                    yield Work(LINE_FILL, scaled(fill_ns, line_factor(ls, LINE_FILL)))
-                    yield Work(LINE_TRAVERSE, scaled(tr, line_factor(ls, LINE_TRAVERSE)))
-                    yield Work(LINE_PRICE, scaled(price_ns, line_factor(ls, LINE_PRICE)))
-                    yield Work(LINE_PROGRESS_SRC, 0)
-                    yield Progress(PROGRESS)
+                    for op in iteration:
+                        yield op
 
             workers = []
             for wid in range(n_threads):
-                def body(t2, wid=wid):
-                    yield from worker(t2, wid)
-                workers.append((yield Spawn(body, f"swap-{wid}")))
+                workers.append((yield Spawn(worker, f"swap-{wid}")))
             for w in workers:
                 yield Join(w)
 

@@ -33,6 +33,7 @@ from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.hooks import HookAction, Observer, ProfilerHook
 from repro.sim.ops import (
     IO,
+    POP_FRAME,
     BarrierWait,
     Broadcast,
     CondWait,
@@ -51,6 +52,7 @@ from repro.sim.ops import (
     Unlock,
     Work,
     call,
+    push_frame,
 )
 from repro.sim.program import Program, RunResult
 from repro.sim.sampler import Sample, Sampler
@@ -82,6 +84,7 @@ __all__ = [
     "Observer",
     "ProfilerHook",
     "IO",
+    "POP_FRAME",
     "BarrierWait",
     "Broadcast",
     "CondWait",
@@ -100,6 +103,7 @@ __all__ = [
     "Unlock",
     "Work",
     "call",
+    "push_frame",
     "Program",
     "RunResult",
     "Sample",

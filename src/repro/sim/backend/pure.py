@@ -80,7 +80,7 @@ def event_loop(engine) -> None:
                         accum = obj.sample_accum + nominal
                         if (
                             accum < period_ns
-                            and len(obj.sample_buffer) < batch_size
+                            and obj.sample_buffer.n < batch_size
                         ):
                             obj.sample_accum = accum
                         else:

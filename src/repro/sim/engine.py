@@ -595,7 +595,7 @@ class Engine:
                 # batch size (the legacy engine flushes at the first quantum
                 # boundary at/after that instant)
                 x0 = (
-                    (sampler.batch_size - len(t.sample_buffer))
+                    (sampler.batch_size - t.sample_buffer.n)
                     * sampler.period_ns
                     - t.sample_accum
                 )
@@ -699,7 +699,7 @@ class Engine:
         if self._sampling_live:
             sampler = self.sampler
             accum = t.sample_accum + nominal
-            if accum < sampler.period_ns and len(t.sample_buffer) < sampler.batch_size:
+            if accum < sampler.period_ns and t.sample_buffer.n < sampler.batch_size:
                 # no sample fires in this span and the buffer cannot flush:
                 # skip the sampler call entirely (the common sub-period case)
                 t.sample_accum = accum
@@ -870,9 +870,6 @@ class Engine:
                 t.exit_value = stop.value
                 self._begin_exit(t)
                 return
-            except Exception:
-                # surface app bugs with thread context
-                raise
             if oplog is not None:
                 oplog.append((t.tid, sv, op))
             t.send_value = None
@@ -883,7 +880,8 @@ class Engine:
                 # blocking nor waking, so the flush / pre-pause logic in
                 # _setup_op can never apply
                 line = op.line
-                if line in self._line_watchers and self.hook is not None:
+                watchers = self._line_watchers
+                if watchers and line in watchers and self.hook is not None:
                     self.hook.on_line_visit(t, line)
                 if line is not t.activity_line:
                     t.activity_line = line
@@ -891,6 +889,21 @@ class Engine:
                 t.activity_memory_bound = op.memory_bound
                 t.activity_remaining = op.duration
                 return
+            # frame markers are the next most common ops: with no observer
+            # to notify (and so no call overhead to charge) they change only
+            # the stack, so they are applied inline and the loop keeps
+            # pulling — exactly what the instant-op path below would do
+            # (inlined _do_pop_frame/_do_push_frame — keep in sync)
+            if cls is O.PopFrame:
+                if not t.stack:
+                    raise SimulationError(f"{t.name}: PopFrame with empty stack")
+                t.stack.pop()
+                t.chain_cache = None
+                continue
+            if cls is O.PushFrame and not self.observers:
+                t.stack.append(Frame(op.func, op.callsite))
+                t.chain_cache = None
+                continue
             plan = table.get(cls)
             if plan is None:
                 plan = self._resolve_op_plan(t, op)
@@ -920,7 +933,7 @@ class Engine:
         if blocking or waking:
             if (
                 self.cfg.flush_samples_on_block
-                and t.sample_buffer
+                and t.sample_buffer.n
                 and self._sampling_live
             ):
                 self._deliver_batch(t, self.sampler.drain(t))

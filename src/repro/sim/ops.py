@@ -23,6 +23,22 @@ Operations are split into the categories Coz cares about (paper Tables 1-2):
   must execute pending delays *before* these;
 * **timed** suspensions (``Sleep``, ``IO``) where the thread is *not* woken
   by a peer, so accumulated delays are paid after resuming.
+
+Ops are immutable values: the engine, the profiler and the checkpoint
+recorder only ever read them, so one op object may be yielded any number of
+times, by any number of threads, in any number of runs.  App models rely on
+this to build their constant ops once per program and yield the same object
+from every loop iteration (``push_frame`` and ``POP_FRAME`` are the shared
+frame markers)::
+
+    step = Work(line("worker.c:10"), US(50))
+    enter, leave = push_frame("step"), POP_FRAME
+
+    def worker(rt):
+        for _ in range(n):
+            yield enter
+            yield step
+            yield leave
 """
 
 from __future__ import annotations
@@ -231,6 +247,24 @@ class PopFrame(Op):
     """Leave the current function frame."""
 
 
+#: the one ``PopFrame`` every frame exit yields
+POP_FRAME = PopFrame()
+
+_push_frames: dict = {}
+
+
+def push_frame(func: str, callsite: Optional[SourceLine] = None) -> PushFrame:
+    """The interned :class:`PushFrame` for ``(func, callsite)``.
+
+    Meant for the fixed function names of a program's call sites: app
+    models call it once per call site when they build their ops.
+    """
+    key = (func, callsite)
+    op = _push_frames.get(key)
+    if op is None:
+        op = _push_frames[key] = PushFrame(func, callsite)
+    return op
+
 
 @dataclass(slots=True)
 class SetSpinning(Op):
@@ -252,7 +286,7 @@ def call(func: str, gen: Generator, callsite: Optional[SourceLine] = None) -> Ge
     samples taken inside ``gen`` carry the enclosing function on their
     callchain and the gprof baseline can count the call.
     """
-    yield PushFrame(func, callsite)
+    yield push_frame(func, callsite)
     try:
         result = yield from gen
     except GeneratorExit:
@@ -261,9 +295,9 @@ def call(func: str, gen: Generator, callsite: Optional[SourceLine] = None) -> Ge
         # bookkeeping is moot
         raise
     except BaseException:
-        yield PopFrame()
+        yield POP_FRAME
         raise
-    yield PopFrame()
+    yield POP_FRAME
     return result
 
 

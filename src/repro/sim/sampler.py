@@ -281,7 +281,7 @@ class Sampler:
                     accum_before, rate, period, now,
                 )
             self.total_samples += n
-        if allow_flush and len(thread.sample_buffer) >= self.batch_size:
+        if allow_flush and thread.sample_buffer.n >= self.batch_size:
             batch = thread.sample_buffer
             thread.sample_buffer = self.new_buffer()
             return batch

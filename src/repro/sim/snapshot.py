@@ -102,6 +102,14 @@ _SYNC_ATTRS = {
     O.SemPost: ("sem",),
 }
 
+# op classes whose log entries need no sync registration: with a scalar send
+# value such an entry serializes to (_T_SEND, tid, send) as is.  Stops
+# (op None) and spawn markers are not op classes, so they never match.
+_PLAIN_OPS = frozenset(
+    cls for cls in vars(O).values()
+    if isinstance(cls, type) and issubclass(cls, O.Op) and cls not in _SYNC_ATTRS
+)
+
 # op-log entry tags in serialized form
 _T_SEND = 0
 _T_STOP = 1
@@ -292,9 +300,17 @@ class Recorder:
     def _capture(self, engine: Engine) -> EngineSnapshot:
         raw = self._raw
         serialized = self._serialized
-        while self._cursor < len(raw):
-            serialized.append(self._serialize_entry(raw[self._cursor], engine))
-            self._cursor += 1
+        append = serialized.append
+        scalar, plain = _SCALAR_TYPES, _PLAIN_OPS
+        for i in range(self._cursor, len(raw)):
+            entry = raw[i]
+            tid, sent, op = entry
+            if type(op) in plain and type(sent) in scalar:
+                append((_T_SEND, tid, sent))  # _serialize_entry, inlined
+            else:
+                self._cursor = i  # a failed capture leaves the log consistent
+                append(self._serialize_entry(entry, engine))
+        self._cursor = len(raw)
         return EngineSnapshot(
             version=SNAPSHOT_VERSION,
             seed=engine.cfg.seed,
