@@ -44,6 +44,10 @@
 
 #define SNAP_NONE LLONG_MIN
 
+/* op-log special-entry tags -- must match repro.sim.engine._T_* */
+#define T_SEND 0
+#define T_STOP 1
+
 /* ------------------------------------------------------------------ strings */
 
 #define STR_LIST(X)                                                         \
@@ -62,7 +66,8 @@
     X(mutex) X(func) X(callsite) X(owner) X(acquires) X(waiters)            \
     X(name) X(n) X(progress_counts) X(on_progress) X(total_delay_ns)        \
     X(_call_overhead_ns) X(_do_lock) X(_do_unlock) X(_do_push_frame)        \
-    X(_do_pop_frame) X(_do_progress) X(contended_acquires) X(on_unblock)
+    X(_do_pop_frame) X(_do_progress) X(contended_acquires) X(on_unblock)   \
+    X(ids) X(specials) X(sync)
 
 #define DECL_STR(n) static PyObject *s_##n;
 STR_LIST(DECL_STR)
@@ -263,6 +268,9 @@ typedef struct {
     PyObject *h_before_block, *h_before_wake, *h_unblock, *h_progress;
     PyObject *fn_lock, *fn_unlock, *fn_push, *fn_pop, *fn_progress;
     PyObject *frame_cls; /* borrowed from the ctx tuple */
+    PyObject *sync_attrs; /* borrowed from the ctx tuple */
+    /* the recorder's OpLog columns (all NULL when no recorder is attached) */
+    PyObject *log_ids, *log_ids_append, *log_specials, *log_sync;
     long long call_overhead;
     long long quantum, cores, max_ns, period, batch_size;
     int has_max, sampling_live, coalesce, flush_on_block;
@@ -296,6 +304,10 @@ ctx_clear(Ctx *c)
     Py_XDECREF(c->fn_push);
     Py_XDECREF(c->fn_pop);
     Py_XDECREF(c->fn_progress);
+    Py_XDECREF(c->log_ids);
+    Py_XDECREF(c->log_ids_append);
+    Py_XDECREF(c->log_specials);
+    Py_XDECREF(c->log_sync);
 }
 
 static int
@@ -651,18 +663,70 @@ done:
 
 /* ---------------------------------------------------------------- _advance */
 
+/* Log one generator send to the recorder's OpLog -- the C twin of the
+ * logging in Engine._advance (keep in sync).  `op` is NULL when the send
+ * finished the generator. */
+static int
+c_log(Ctx *c, PyObject *t, PyObject *sv, PyObject *op)
+{
+    PyObject *tid = t_get(t, SL_TID);
+    if (tid == NULL)
+        return -1;
+    if (op != NULL && sv == Py_None) {
+        /* the common entry: one thread id appended to the array column */
+        PyObject *r = PyObject_CallOneArg(c->log_ids_append, tid);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+    }
+    else {
+        Py_ssize_t pos = PyObject_Length(c->log_ids);
+        if (pos < 0)
+            return -1;
+        PyObject *rec = Py_BuildValue(
+            "(niOO)", pos, op != NULL ? T_SEND : T_STOP, tid, sv);
+        if (rec == NULL)
+            return -1;
+        int ap = PyList_Append(c->log_specials, rec);
+        Py_DECREF(rec);
+        if (ap < 0)
+            return -1;
+    }
+    if (op == NULL)
+        return 0;
+    /* first-encounter ids for the op's sync primitives */
+    PyObject *attrs =
+        PyDict_GetItemWithError(c->sync_attrs, (PyObject *)Py_TYPE(op));
+    if (attrs == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    if (!PyTuple_Check(attrs)) {
+        PyErr_SetString(PyExc_TypeError, "malformed sync-attribute table");
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(attrs); i++) {
+        PyObject *obj = PyObject_GetAttr(op, PyTuple_GET_ITEM(attrs, i));
+        if (obj == NULL)
+            return -1;
+        int has = PyDict_Contains(c->log_sync, obj);
+        if (has == 0) {
+            PyObject *id = PyLong_FromSsize_t(PyDict_GET_SIZE(c->log_sync));
+            has = id ? PyDict_SetItem(c->log_sync, obj, id) : -1;
+            Py_XDECREF(id);
+        }
+        Py_DECREF(obj);
+        if (has < 0)
+            return -1;
+    }
+    return 0;
+}
+
 static int
 c_advance(Ctx *c, PyObject *t)
 {
     int rv = -1;
-    PyObject *oplog = PyObject_GetAttr(c->eng, s__oplog);
-    if (oplog == NULL)
-        return -1;
     PyObject *gen = t_get(t, SL_GEN);
-    if (gen == NULL) {
-        Py_DECREF(oplog);
+    if (gen == NULL)
         return -1;
-    }
     Py_INCREF(gen);
     for (;;) {
         PyObject *sv = t_get(t, SL_SEND_VALUE);
@@ -676,17 +740,10 @@ c_advance(Ctx *c, PyObject *t)
             goto done;
         }
         if (sr == PYGEN_RETURN) {
-            if (oplog != Py_None) {
-                PyObject *tid = t_get(t, SL_TID);
-                PyObject *rec =
-                    tid ? PyTuple_Pack(3, tid, sv, Py_None) : NULL;
-                int ap = rec ? PyList_Append(oplog, rec) : -1;
-                Py_XDECREF(rec);
-                if (ap < 0) {
-                    Py_DECREF(sv);
-                    Py_DECREF(op);
-                    goto done;
-                }
+            if (c->log_ids != NULL && c_log(c, t, sv, NULL) < 0) {
+                Py_DECREF(sv);
+                Py_DECREF(op);
+                goto done;
             }
             Py_DECREF(sv);
             t_set(t, SL_EXIT_VALUE, op);
@@ -700,16 +757,10 @@ c_advance(Ctx *c, PyObject *t)
             goto done;
         }
         /* PYGEN_NEXT: op is the yielded value (new ref) */
-        if (oplog != Py_None) {
-            PyObject *tid = t_get(t, SL_TID);
-            PyObject *rec = tid ? PyTuple_Pack(3, tid, sv, op) : NULL;
-            int ap = rec ? PyList_Append(oplog, rec) : -1;
-            Py_XDECREF(rec);
-            if (ap < 0) {
-                Py_DECREF(sv);
-                Py_DECREF(op);
-                goto done;
-            }
+        if (c->log_ids != NULL && c_log(c, t, sv, op) < 0) {
+            Py_DECREF(sv);
+            Py_DECREF(op);
+            goto done;
         }
         Py_DECREF(sv);
         t_set(t, SL_SEND_VALUE, Py_None);
@@ -801,7 +852,6 @@ c_advance(Ctx *c, PyObject *t)
     }
 done:
     Py_DECREF(gen);
-    Py_DECREF(oplog);
     return rv;
 }
 
@@ -1499,8 +1549,8 @@ core_event_loop(PyObject *mod, PyObject *args)
     PyObject *eng, *ctxt;
     if (!PyArg_ParseTuple(args, "OO:event_loop", &eng, &ctxt))
         return NULL;
-    if (!PyTuple_Check(ctxt) || PyTuple_GET_SIZE(ctxt) != 10) {
-        PyErr_SetString(PyExc_TypeError, "accel ctx must be a 10-tuple");
+    if (!PyTuple_Check(ctxt) || PyTuple_GET_SIZE(ctxt) != 11) {
+        PyErr_SetString(PyExc_TypeError, "accel ctx must be an 11-tuple");
         return NULL;
     }
     if (resolve_slots(PyTuple_GET_ITEM(ctxt, 8)) < 0)
@@ -1518,6 +1568,11 @@ core_event_loop(PyObject *mod, PyObject *args)
     c.heappush = PyTuple_GET_ITEM(ctxt, 6);
     c.heappop = PyTuple_GET_ITEM(ctxt, 7);
     c.frame_cls = PyTuple_GET_ITEM(ctxt, 9);
+    c.sync_attrs = PyTuple_GET_ITEM(ctxt, 10);
+    if (!PyDict_Check(c.sync_attrs)) {
+        PyErr_SetString(PyExc_TypeError, "accel ctx[10] must be a dict");
+        return NULL;
+    }
     c.snap_next = SNAP_NONE;
 
     /* --- eligibility re-check (the accel wrapper should have filtered) --- */
@@ -1658,6 +1713,28 @@ core_event_loop(PyObject *mod, PyObject *args)
         HOIST(fn_push, etype, s__do_push_frame);
         HOIST(fn_pop, etype, s__do_pop_frame);
         HOIST(fn_progress, etype, s__do_progress);
+    }
+    /* the recorder's op log: attached before the run starts, so fixed for
+     * the whole loop */
+    {
+        PyObject *oplog = PyObject_GetAttr(eng, s__oplog);
+        if (oplog == NULL)
+            goto fail;
+        if (oplog != Py_None) {
+            c.log_ids = PyObject_GetAttr(oplog, s_ids);
+            c.log_specials = PyObject_GetAttr(oplog, s_specials);
+            c.log_sync = PyObject_GetAttr(oplog, s_sync);
+            if (c.log_ids != NULL)
+                c.log_ids_append = PyObject_GetAttr(c.log_ids, s_append);
+        }
+        Py_DECREF(oplog);
+        if (PyErr_Occurred())
+            goto fail;
+        if (c.log_ids != NULL &&
+            (!PyList_Check(c.log_specials) || !PyDict_Check(c.log_sync))) {
+            PyErr_SetString(PyExc_TypeError, "malformed engine._oplog");
+            goto fail;
+        }
     }
 #undef HOIST
     if (e_get_ll(c.sampler, s_period_ns, &c.period) < 0 ||

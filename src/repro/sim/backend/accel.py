@@ -32,7 +32,9 @@ def _context():
     global _ctx
     if _ctx is None:
         from repro.sim import ops as O
-        from repro.sim.engine import BLOCKED, READY, RUNNING, SLEEPING
+        from repro.sim.engine import (
+            _SYNC_ATTRS, BLOCKED, READY, RUNNING, SLEEPING,
+        )
         from repro.sim.source import RUNTIME_LINE
         from repro.sim.thread import Frame, VThread
 
@@ -41,6 +43,7 @@ def _context():
             O.Work, RUNTIME_LINE,
             heapq.heappush, heapq.heappop,
             VThread, Frame,
+            _SYNC_ATTRS,
         )
     return _ctx
 

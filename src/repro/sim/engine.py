@@ -65,9 +65,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.sim import ops as O
 from repro.sim.clock import MS, US
@@ -98,9 +99,54 @@ _EV_OVERHEAD = 2   # obj=thread, arg=chunk_token  -> profiler CPU slice done
 _EV_SLEEP = 3      # obj=thread, arg=chunk_token  -> timed suspension over
 _EV_TIMER = 4      # obj=callable                 -> profiler-thread timer
 
-#: op-log sentinel marking a spawn *execution* (see ``_do_spawn``); the
-#: generator-send entries use an Op (or None for StopIteration) in this slot
-_SPAWN_EXEC = object()
+#: op-log special-entry tags (see :class:`OpLog`)
+_T_SEND = 0   # (pos, _T_SEND, tid, send value): a non-None generator send
+_T_STOP = 1   # (pos, _T_STOP, tid, send value): the send that finished it
+_T_SPAWN = 2  # (pos, _T_SPAWN, child tid, parent tid): a spawn executed
+
+#: which attributes of each yielded op reference sync primitives; walked in
+#: log order on both the logging and the replay side, so first-encounter
+#: ids agree between capture and restore
+_SYNC_ATTRS = {
+    O.Lock: ("mutex",),
+    O.TryLock: ("mutex",),
+    O.Unlock: ("mutex",),
+    O.CondWait: ("cond", "mutex"),
+    O.Signal: ("cond",),
+    O.Broadcast: ("cond",),
+    O.BarrierWait: ("barrier",),
+    O.SemWait: ("sem",),
+    O.SemPost: ("sem",),
+}
+
+
+class OpLog:
+    """Every generator interaction of a recorded run, in two columns.
+
+    Checkpoint capture (:mod:`repro.sim.snapshot`) replays a program's
+    generators from this log.  Nearly every interaction is a ``None`` sent
+    into a generator that yields its next op; that *common* entry is one
+    thread id in ``ids``, a flat ``array`` that holds no Python object per
+    entry — so the cyclic garbage collector has nothing to rescan however
+    long the run.  The rest are *special* entries in ``specials``, each
+    ``(pos, tag, tid, value)`` with ``pos`` the number of common entries
+    logged before it: a non-``None`` send, the send a generator finished
+    on, and a spawn execution (a spawn continuation creates the child a
+    spawn-cost *after* the parent yielded ``Spawn``, so child-tid order is
+    a scheduling fact that must be logged).  Send values stay raw here;
+    the recorder serializes them when it captures.
+
+    ``sync`` maps each sync primitive a logged op referenced to its
+    first-encounter id.  Both engine backends write this log identically:
+    ``Engine._advance`` / ``_do_spawn`` and ``_core.c``'s ``c_advance``.
+    """
+
+    __slots__ = ("ids", "specials", "sync")
+
+    def __init__(self) -> None:
+        self.ids = array("I")
+        self.specials: List[tuple] = []
+        self.sync: Dict[Any, int] = {}
 
 
 @dataclass
@@ -219,11 +265,11 @@ class Engine:
         self._started = False
 
         # checkpoint fast-forward plumbing (repro.sim.snapshot): when a
-        # Recorder is attached, every generator send is appended to _oplog
+        # Recorder is attached, every generator send is logged to _oplog
         # and the run loop takes a state snapshot each time virtual time is
         # about to cross _snap_next.  All three stay None on ordinary runs,
         # so the hot path pays one local None-check per event.
-        self._oplog: Optional[List] = None
+        self._oplog: Optional[OpLog] = None
         self._snap_next: Optional[int] = None
         self._recorder = None
 
@@ -866,15 +912,26 @@ class Engine:
                 op = t.gen.send(sv)
             except StopIteration as stop:
                 if oplog is not None:
-                    oplog.append((t.tid, sv, None))
+                    oplog.specials.append((len(oplog.ids), _T_STOP, t.tid, sv))
                 t.exit_value = stop.value
                 self._begin_exit(t)
                 return
+            cls = op.__class__
             if oplog is not None:
-                oplog.append((t.tid, sv, op))
+                # the OpLog contract (c_advance logs the same -- keep in sync)
+                if sv is None:
+                    oplog.ids.append(t.tid)
+                else:
+                    oplog.specials.append((len(oplog.ids), _T_SEND, t.tid, sv))
+                attrs = _SYNC_ATTRS.get(cls)
+                if attrs is not None:
+                    sync = oplog.sync
+                    for attr in attrs:
+                        obj = getattr(op, attr)
+                        if obj not in sync:
+                            sync[obj] = len(sync)
             t.send_value = None
             t.current_op = op
-            cls = op.__class__
             if cls is O.Work:
                 # fast path for the by-far most common op: Work is neither
                 # blocking nor waking, so the flush / pre-pause logic in
@@ -1136,12 +1193,10 @@ class Engine:
 
     def _do_spawn(self, t: VThread, op) -> None:
         child = self.spawn(op.body, name=op.name, parent=t)
-        if self._oplog is not None:
-            # spawn execution happens a spawn-cost continuation *after* the
-            # parent yielded Spawn, so child-tid assignment order is a
-            # scheduling fact, not derivable from yield order; record it
-            # explicitly so replay creates children at the same instants
-            self._oplog.append((child.tid, t.tid, _SPAWN_EXEC))
+        oplog = self._oplog
+        if oplog is not None:
+            # replay must create children at the same instants (see OpLog)
+            oplog.specials.append((len(oplog.ids), _T_SPAWN, child.tid, t.tid))
         t.send_value = child
 
     def _do_progress(self, t: VThread, op) -> None:

@@ -10,14 +10,16 @@ checkpointing idea applied to the DES).
 The hard part is that VThreads are Python generators, which cannot be
 pickled or deep-copied.  Capture therefore works by **record and replay**:
 
-* While a :class:`Recorder` is attached, the engine appends every generator
-  interaction to a global op log — ``(tid, send_value, yielded_op)`` for each
-  ``gen.send``, ``(tid, send_value, None)`` when a generator finishes, and a
-  ``_SPAWN_EXEC`` marker when a spawn continuation actually creates a child
-  (child-tid assignment order is a scheduling fact, not derivable from yield
-  order).  The log is serialized incrementally: send values become small
-  descriptors (scalars verbatim, threads and exit values by tid) and sync
-  primitives get first-encounter integer ids.
+* While a :class:`Recorder` is attached, the engine logs every generator
+  interaction to a global :class:`~repro.sim.engine.OpLog` in two columns:
+  the thread id of each ``None`` send (nearly all of them) in a flat
+  array, and a short list of positioned special entries — non-``None``
+  sends, generator stops, and spawn executions (child-tid assignment order
+  is a scheduling fact, not derivable from yield order).  Sync primitives
+  get first-encounter integer ids as their ops are logged.  Each capture
+  serializes only the special entries added since the last one: send
+  values become small descriptors (scalars verbatim, threads and exit
+  values by tid).
 * :func:`restore` rebuilds the program from scratch, replays the logged
   sends in their original global order — which re-executes the generator
   bodies and thereby reconstructs every closure (channels, work tables,
@@ -42,15 +44,20 @@ from __future__ import annotations
 
 import pickle
 import warnings
+from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain, repeat
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim import ops as O
 from repro.sim.clock import MS
 from repro.sim.engine import (
     _EV_TIMER,
-    _SPAWN_EXEC,
+    _SYNC_ATTRS,
+    _T_SEND,
+    _T_SPAWN,
     Engine,
+    OpLog,
     SimConfig,
     SimulationError,
 )
@@ -64,10 +71,11 @@ __all__ = [
     "EngineSnapshot",
     "Recorder",
     "restore",
+    "op_stream",
 ]
 
 #: bump whenever the capture layout changes; restore refuses other versions
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: first checkpoint-grid point (virtual ns)
 DEFAULT_GRID_FIRST_NS = MS(10)
@@ -87,34 +95,6 @@ class SnapshotError(SimulationError):
 # are tuples — stay unambiguous)
 _SCALAR_TYPES = (type(None), bool, int, float, str)
 
-# which attributes of each yielded op reference sync primitives; walked in
-# log order on both sides so first-encounter ids agree between capture and
-# replay
-_SYNC_ATTRS = {
-    O.Lock: ("mutex",),
-    O.TryLock: ("mutex",),
-    O.Unlock: ("mutex",),
-    O.CondWait: ("cond", "mutex"),
-    O.Signal: ("cond",),
-    O.Broadcast: ("cond",),
-    O.BarrierWait: ("barrier",),
-    O.SemWait: ("sem",),
-    O.SemPost: ("sem",),
-}
-
-# op classes whose log entries need no sync registration: with a scalar send
-# value such an entry serializes to (_T_SEND, tid, send) as is.  Stops
-# (op None) and spawn markers are not op classes, so they never match.
-_PLAIN_OPS = frozenset(
-    cls for cls in vars(O).values()
-    if isinstance(cls, type) and issubclass(cls, O.Op) and cls not in _SYNC_ATTRS
-)
-
-# op-log entry tags in serialized form
-_T_SEND = 0
-_T_STOP = 1
-_T_SPAWN = 2
-
 
 def _check_continuation_name(name: str) -> None:
     if not (name.startswith("_do_") or name in ("_setup_op_body", "_finish_exit")):
@@ -130,19 +110,23 @@ def _check_timer_name(name: str) -> None:
 class EngineSnapshot:
     """Deep, versioned capture of a running engine at one instant.
 
-    ``oplog`` is *shared* between all snapshots taken by one recorder (each
-    snapshot replays only its ``n_ops`` prefix), so a geometric grid of
-    checkpoints costs O(total ops) serialization work, not O(ops × grid).
-    The structure contains only plain data (ints, strings, tuples,
-    SourceLines, Samples), so it pickles cleanly for the on-disk cache and
-    for shipping to parallel workers.
+    The op log to replay is the recorder's :class:`~repro.sim.engine.OpLog`
+    in serialized form: the first ``n_ids`` thread ids of ``ids`` and the
+    ``specials`` logged before the capture, their send values as
+    descriptors.  ``ids`` is *shared* between all snapshots taken by one
+    recorder and keeps growing after the capture, so a geometric grid of
+    checkpoints costs O(total ops), not O(ops × grid); pickling keeps only
+    the snapshot's own prefix.  The structure contains only plain data
+    (ints, strings, tuples, arrays, SourceLines, Samples), so it pickles
+    cleanly for the on-disk cache and for shipping to parallel workers.
     """
 
     version: int
     seed: int
     when: int                     # virtual time of capture
-    n_ops: int                    # replay prefix length into oplog
-    oplog: List[tuple]            # shared serialized op-log entries
+    n_ids: int                    # replay prefix length into ids
+    ids: array                    # op-log id column (shared, see above)
+    specials: Tuple[tuple, ...]   # serialized special entries
     threads: List[dict]           # per-tid engine-owned overlays
     sync: List[tuple]             # (type_name, state) per registered primitive
     heap: List[tuple]             # event heap verbatim, threads/timers by ref
@@ -154,6 +138,11 @@ class EngineSnapshot:
     #: the container wraps whatever snapshot layout is current)
     WIRE_MAGIC = b"RSNP"
     WIRE_VERSION = 1
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["ids"] = self.ids[: self.n_ids]
+        return state
 
     def to_bytes(self) -> bytes:
         """Versioned byte container for shipping/storing this snapshot.
@@ -222,13 +211,9 @@ class Recorder:
         self.snapshots: List[EngineSnapshot] = []
         self.failed = False
         self._taken = 0
-        # raw engine-side op log and its incremental serialization
-        self._raw: List[tuple] = []
+        # the engine-written op log; specials before _cursor are serialized
+        self._log = OpLog()
         self._cursor = 0
-        self._serialized: List[tuple] = []
-        # first-encounter sync-primitive registry (ids stable across takes)
-        self._sync_objs: List[Any] = []
-        self._sync_ids: Dict[int, int] = {}
 
     # -------------------------------------------------------------- attach
 
@@ -250,7 +235,7 @@ class Recorder:
                 f"hook {type(engine.hook).__name__} is not snapshot-aware"
             )
         engine._recorder = self
-        engine._oplog = self._raw
+        engine._oplog = self._log
         engine._snap_next = self._next
 
     # ---------------------------------------------------------------- take
@@ -298,48 +283,30 @@ class Recorder:
     # ------------------------------------------------------------- capture
 
     def _capture(self, engine: Engine) -> EngineSnapshot:
-        raw = self._raw
-        serialized = self._serialized
-        append = serialized.append
-        scalar, plain = _SCALAR_TYPES, _PLAIN_OPS
-        for i in range(self._cursor, len(raw)):
-            entry = raw[i]
-            tid, sent, op = entry
-            if type(op) in plain and type(sent) in scalar:
-                append((_T_SEND, tid, sent))  # _serialize_entry, inlined
-            else:
-                self._cursor = i  # a failed capture leaves the log consistent
-                append(self._serialize_entry(entry, engine))
-        self._cursor = len(raw)
+        log = self._log
+        specials = log.specials
+        # serialize, in place, the specials logged since the last capture
+        # (a spawn entry's value is the parent tid, a scalar already)
+        while self._cursor < len(specials):
+            pos, tag, tid, value = specials[self._cursor]
+            if type(value) not in _SCALAR_TYPES:
+                value = self._descr_value(value, engine)
+                specials[self._cursor] = (pos, tag, tid, value)
+            self._cursor += 1
         return EngineSnapshot(
             version=SNAPSHOT_VERSION,
             seed=engine.cfg.seed,
             when=engine.now,
-            n_ops=len(serialized),
-            oplog=serialized,
+            n_ids=len(log.ids),
+            ids=log.ids,
+            specials=tuple(specials),
             threads=[self._thread_state(t, engine) for t in engine.threads],
-            sync=[self._sync_state(obj) for obj in self._sync_objs],
+            sync=[self._sync_state(obj) for obj in log.sync],
             heap=[self._heap_entry(ev, engine) for ev in engine._heap],
             engine=self._engine_state(engine),
             faults=self._fault_state(engine),
             hook=engine.hook.snapshot_state() if engine.hook is not None else None,
         )
-
-    def _serialize_entry(self, entry: tuple, engine: Engine) -> tuple:
-        a, b, op = entry
-        if op is _SPAWN_EXEC:
-            return (_T_SPAWN, a, b)          # (child_tid, parent_tid)
-        descr = self._descr_value(b, engine)
-        if op is None:
-            return (_T_STOP, a, descr)       # generator finished
-        attrs = _SYNC_ATTRS.get(type(op))
-        if attrs is not None:
-            for attr in attrs:
-                obj = getattr(op, attr)
-                if id(obj) not in self._sync_ids:
-                    self._sync_ids[id(obj)] = len(self._sync_objs)
-                    self._sync_objs.append(obj)
-        return (_T_SEND, a, descr)
 
     def _descr_value(self, v: Any, engine: Engine) -> Any:
         """Serialize a generator send value.
@@ -409,9 +376,8 @@ class Recorder:
                 ),
             )
         if isinstance(obj, CondVar):
-            waiters = tuple(
-                (t.tid, self._sync_ids[id(m)]) for (t, m) in obj.waiters
-            )
+            sync_ids = self._log.sync
+            waiters = tuple((t.tid, sync_ids[m]) for (t, m) in obj.waiters)
             return ("CondVar", (waiters, obj.signals, obj.broadcasts))
         if isinstance(obj, Barrier):
             return ("Barrier", (tuple(t.tid for t in obj.arrived), obj.cycles))
@@ -523,21 +489,40 @@ def _resolve(descr: Any, threads: List[VThread]) -> Any:
     return threads[tid].exit_value
 
 
+def _entries(snapshot: EngineSnapshot) -> Iterator[tuple]:
+    """The snapshot's op log in logged order, as ``(tag, tid, value)``:
+    each id-column entry is a ``None`` send, and every special entry sits
+    at its position.  Iterated at C speed, with no per-entry Python frame."""
+    ids = snapshot.ids
+    parts: List[Any] = []
+    done = 0
+    for pos, tag, tid, value in snapshot.specials:
+        parts.append(zip(repeat(_T_SEND), ids[done:pos], repeat(None)))
+        parts.append(((tag, tid, value),))
+        done = pos
+    parts.append(zip(repeat(_T_SEND), ids[done:snapshot.n_ids], repeat(None)))
+    return chain.from_iterable(parts)
+
+
 def _replay(
-    snapshot: EngineSnapshot, program: Any
+    snapshot: EngineSnapshot,
+    program: Any,
+    stream: Optional[List[tuple]] = None,
 ) -> Tuple[List[VThread], List[Any]]:
-    """Re-execute the logged generator sends; rebuild threads and closures."""
+    """Re-execute the logged generator sends; rebuild threads and closures.
+
+    With ``stream`` given, every replayed interaction is appended to it as
+    ``(tid, sent, op)`` (see :func:`op_stream`).
+    """
     threads: List[VThread] = [VThread(program.main, name="main", tid=0)]
-    sync_objs: List[Any] = []
-    sync_seen: Dict[int, None] = {}
-    oplog = snapshot.oplog
+    sync_objs: Dict[Any, None] = {}
     try:
-        for i in range(snapshot.n_ops):
-            tag, a, b = oplog[i]
+        for i, (tag, a, b) in enumerate(_entries(snapshot)):
             if tag == _T_SEND:
                 t = threads[a]
+                sent = b if type(b) is not tuple else _resolve(b, threads)
                 try:
-                    op = t.gen.send(_resolve(b, threads))
+                    op = t.gen.send(sent)
                 except StopIteration:
                     raise SnapshotError(
                         f"replay desync: thread {a} finished early at op {i}"
@@ -547,9 +532,10 @@ def _replay(
                 if attrs is not None:
                     for attr in attrs:
                         obj = getattr(op, attr)
-                        if id(obj) not in sync_seen:
-                            sync_seen[id(obj)] = None
-                            sync_objs.append(obj)
+                        if obj not in sync_objs:
+                            sync_objs[obj] = None
+                if stream is not None:
+                    stream.append((a, sent, op))
             elif tag == _T_SPAWN:
                 parent = threads[b]
                 op = parent.current_op
@@ -566,16 +552,21 @@ def _replay(
                 threads.append(
                     VThread(op.body, name=op.name, parent=parent, tid=a)
                 )
+                if stream is not None:
+                    stream.append((a, b, _T_SPAWN))
             else:  # _T_STOP
                 t = threads[a]
+                sent = _resolve(b, threads)
                 try:
-                    t.gen.send(_resolve(b, threads))
+                    t.gen.send(sent)
                 except StopIteration as stop:
                     t.exit_value = stop.value
                 else:
                     raise SnapshotError(
                         f"replay desync: thread {a} kept running at op {i}"
                     )
+                if stream is not None:
+                    stream.append((a, sent, None))
     except SnapshotError:
         raise
     except Exception as exc:
@@ -590,7 +581,21 @@ def _replay(
             f"replay registered {len(sync_objs)} sync objects, snapshot has "
             f"{len(snapshot.sync)}"
         )
-    return threads, sync_objs
+    return threads, list(sync_objs)
+
+
+def op_stream(snapshot: EngineSnapshot, program: Any) -> List[tuple]:
+    """Regenerate the op log a snapshot replays, one interaction per entry.
+
+    Replays ``snapshot`` into ``program`` (freshly built, as for
+    :func:`restore`) and returns ``(tid, sent, op)`` for every logged
+    generator send, ``(tid, sent, None)`` for a send that finished a
+    generator, and ``(child_tid, parent_tid, _T_SPAWN)`` for a spawn
+    execution.  Send values are the replayed objects.
+    """
+    stream: List[tuple] = []
+    _replay(snapshot, program, stream)
+    return stream
 
 
 def _overlay_sync(

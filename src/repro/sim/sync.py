@@ -130,45 +130,69 @@ class Channel:
         self.closed = False
         self.total_put = 0
         self.total_got = 0
+        # source line -> this channel's sync ops on it (see _ops)
+        self._line_ops: dict = {}
+
+    def _ops(self, line: Optional[SourceLine]) -> tuple:
+        """``(lock, unlock, wait_not_full, wait_not_empty, signal_not_empty,
+        signal_not_full)`` on ``line``: built on the first call from each
+        line and yielded again by every later one (ops are immutable)."""
+        ops = self._line_ops.get(line)
+        if ops is None:
+            mutex = self.mutex
+            ops = self._line_ops[line] = (
+                Lock(mutex, line),
+                Unlock(mutex, line),
+                CondWait(self.not_full, mutex, line),
+                CondWait(self.not_empty, mutex, line),
+                Signal(self.not_empty, line),
+                Signal(self.not_full, line),
+            )
+        return ops
 
     def put(self, item: Any, line: Optional[SourceLine] = None) -> Generator:
         """``yield from chan.put(x)`` — block while the channel is full."""
-        yield Lock(self.mutex, line)
+        lock, unlock, wait_not_full, _, signal_not_empty, _ = self._ops(line)
+        yield lock
         while len(self.items) >= self.capacity and not self.closed:
-            yield CondWait(self.not_full, self.mutex, line)
+            yield wait_not_full
         if self.closed:
-            yield Unlock(self.mutex, line)
+            yield unlock
             raise RuntimeError(f"put() on closed channel {self.name}")
         self.items.append(item)
         self.total_put += 1
-        yield Signal(self.not_empty, line)
-        yield Unlock(self.mutex, line)
+        yield signal_not_empty
+        yield unlock
 
     def get(self, line: Optional[SourceLine] = None) -> Generator:
         """``yield from chan.get()`` — returns an item or ``Channel.CLOSED``."""
-        yield Lock(self.mutex, line)
+        lock, unlock, _, wait_not_empty, signal_not_empty, signal_not_full = (
+            self._ops(line)
+        )
+        yield lock
         while not self.items and not self.closed:
-            yield CondWait(self.not_empty, self.mutex, line)
+            yield wait_not_empty
         if self.items:
             item = self.items.popleft()
             self.total_got += 1
-            yield Signal(self.not_full, line)
+            yield signal_not_full
         else:  # closed and drained
             item = Channel.CLOSED
             # let any other blocked consumer observe the close too
-            yield Signal(self.not_empty, line)
-        yield Unlock(self.mutex, line)
+            yield signal_not_empty
+        yield unlock
         return item
 
     def close(self, line: Optional[SourceLine] = None) -> Generator:
         """Mark end-of-stream and wake all blocked consumers/producers."""
-        yield Lock(self.mutex, line)
+        lock, unlock, _, _, signal_not_empty, signal_not_full = self._ops(line)
+        yield lock
         self.closed = True
         # Broadcast via the engine op would be natural; signal chains also
         # work because get() re-signals on observing the close.
-        yield Signal(self.not_empty, line)
-        yield Signal(self.not_full, line)
-        yield Unlock(self.mutex, line)
+        yield signal_not_empty
+        yield signal_not_full
+        yield unlock
 
     def __len__(self) -> int:
         return len(self.items)

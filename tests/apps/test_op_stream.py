@@ -2,10 +2,11 @@
 
 The golden-trace matrix (``tests/sim/test_golden_trace.py``) fingerprints
 what an execution *produced*.  These digests fingerprint what each app model
-*yielded*: one SHA-256 over the engine's op log of a small, unprofiled run,
-entry by entry — thread id, the value sent into the generator, the op's
-class and every op field (sync primitives by first-encounter id, spawn
-bodies by thread name).  An app rewrite that builds its ops differently
+*yielded*: one SHA-256 over the op log of a small, unprofiled run, as the
+checkpoint replay regenerates it from the recorder's columnar log, entry
+by entry — thread id, the value sent into the generator, the op's class
+and every op field (sync primitives by first-encounter id, spawn bodies by
+thread name).  An app rewrite that builds its ops differently
 (hoisted, interned, flattened out of helper generators) must leave every
 digest unchanged.
 
@@ -26,7 +27,8 @@ import hashlib
 import pytest
 
 from repro.apps import registry
-from repro.sim.snapshot import Recorder
+from repro.sim.engine import Engine
+from repro.sim.snapshot import Recorder, op_stream
 from repro.sim.source import SourceLine
 from repro.sim.thread import VThread
 
@@ -73,10 +75,20 @@ def _build(name, optimized, kwargs, speedups):
 
 
 def op_log(spec, seed=SEED):
-    """The raw op log of one unprofiled run: (tid, send value, op) entries."""
-    recorder = Recorder(grid=[])  # log every send, capture no snapshot
-    spec.build(seed).run(recorder=recorder)
-    return recorder._raw
+    """The op log of one unprofiled run as (tid, send value, op) entries,
+    regenerated from the recorder's columnar log through the replay path.
+
+    The run is recorded to the end and captured once there, so the digest
+    also proves that the log round-trips exactly.
+    """
+    program = spec.build(seed)
+    engine = Engine(program.config)
+    recorder = Recorder(grid=[])  # log every send; capture once, below
+    recorder.attach(engine)
+    engine.spawn(program.main, name="main")
+    engine.run()
+    recorder.take(engine)
+    return op_stream(recorder.snapshots[-1], spec.build(seed))
 
 
 def _field(v, sync_ids):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -35,8 +36,9 @@ def _dummy_snapshot(seed=0, when=0):
         version=SNAPSHOT_VERSION,
         seed=seed,
         when=when,
-        n_ops=0,
-        oplog=[],
+        n_ids=0,
+        ids=array("I"),
+        specials=(),
         threads=[],
         sync=[],
         heap=[],

@@ -116,3 +116,43 @@ def test_explicit_accel_without_core_fails_loudly(monkeypatch):
 def test_unknown_backend_and_pipeline_names_are_rejected():
     with pytest.raises(ValueError):
         backend_mod.resolve_backend("fast")
+
+
+def _checkpoint_bytes(name, backend):
+    """Deepest checkpoint of one profiled run under ``backend``, as bytes,
+    plus the number of loops the compiled core ran."""
+    from repro.apps import registry
+    from repro.core.config import CozConfig
+    from repro.core.profiler import CausalProfiler
+    from repro.sim.clock import MS
+    from repro.sim.engine import Engine
+    from repro.sim.snapshot import Recorder
+
+    spec = registry.build(name)
+    program = spec.build(1)
+    engine = Engine(replace(program.config, backend=backend))
+    engine.program = program
+    engine.install(
+        CausalProfiler(
+            CozConfig(scope=spec.scope, experiment_duration_ns=MS(10), seed=1),
+            spec.progress_points,
+        )
+    )
+    recorder = Recorder()
+    recorder.attach(engine)
+    engine.spawn(program.main, name="main")
+    engine.run()
+    assert recorder.snapshots and not recorder.failed
+    return recorder.snapshots[-1].to_bytes(), engine.accel_loops
+
+
+@pytest.mark.skipif(not accel_available(), reason="compiled core not built")
+@pytest.mark.parametrize("name", ["example", "ferret", "sqlite"])
+def test_checkpoint_bytes_identical_across_backends(name):
+    """Both backends write the same op log, so a checkpoint captured under
+    the pure loop and one captured under the compiled core are the same
+    bytes: id column, special entries, sync ids and every overlay."""
+    pure_blob, pure_loops = _checkpoint_bytes(name, "pure")
+    accel_blob, accel_loops = _checkpoint_bytes(name, "accel")
+    assert pure_loops == 0 and accel_loops >= 1
+    assert accel_blob == pure_blob, f"{name}: checkpoint differs across backends"

@@ -1,20 +1,28 @@
-"""Host-cost budget of the workload layer, counted rather than timed.
+"""Host-cost budgets of the simulator, counted rather than timed.
 
 A wall-clock bound depends on the machine; the number of Python-level
-calls the simulator makes per engine event does not.  This test runs a
+calls the simulator makes per engine event does not.  These tests run a
 small profiled sqlite program on the pure backend under ``sys.setprofile``
-and counts every call into code under ``src/repro`` (generator resumes
-included), per engine event.
+and count every call into code under ``src/repro`` (generator resumes
+included), per engine event — once plain and once with a checkpoint
+``Recorder`` attached, whose op logging is inlined in the engine.
 
 Reference counts for this program (identical on CPython 3.10–3.13): 12.95
 calls per event while app models rebuilt their ops every loop iteration
 and routed them through per-op helper generators; 5.98 once they build
 constant ops once and yield them from flat loops.  The budget leaves room
 for ordinary engine changes but fails if the per-op tax comes back.
+
+The same counting applies to memory the garbage collector must rescan:
+a recorded run's op log holds no Python object per op, so the number of
+GC-tracked objects a recorded run leaves alive does not grow with its
+length.  It read about 1.9 per engine event while the log kept a
+``(tid, send, op)`` tuple (and its serialized twin) per generator send.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -24,13 +32,14 @@ from repro.apps import registry
 from repro.core.config import CozConfig
 from repro.core.profiler import CausalProfiler
 from repro.sim.clock import MS
+from repro.sim.snapshot import Recorder
 
 CALLS_PER_EVENT_BUDGET = 8.0
 
 _ROOT = os.path.dirname(repro.__file__)
 
 
-def calls_per_event(spec, seed=1):
+def calls_per_event(spec, seed=1, recorder=None):
     program = spec.build(seed)
     config = replace(program.config, backend="pure")
     hook = CausalProfiler(
@@ -47,7 +56,7 @@ def calls_per_event(spec, seed=1):
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        result = program.run(hook=hook, config=config)
+        result = program.run(hook=hook, config=config, recorder=recorder)
     finally:
         sys.setprofile(previous)
     return calls / result.events_processed
@@ -59,4 +68,42 @@ def test_sqlite_calls_per_event_within_budget():
     assert ratio <= CALLS_PER_EVENT_BUDGET, (
         f"{ratio:.2f} Python calls per engine event on sqlite "
         f"(budget {CALLS_PER_EVENT_BUDGET})"
+    )
+
+
+def test_sqlite_calls_per_event_within_budget_while_recording():
+    spec = registry.build("sqlite", threads=4, inserts_per_thread=150)
+    recorder = Recorder(first_ns=MS(1))  # the run lasts a few virtual ms
+    ratio = calls_per_event(spec, recorder=recorder)
+    assert recorder.snapshots and not recorder.failed
+    assert ratio <= CALLS_PER_EVENT_BUDGET, (
+        f"{ratio:.2f} Python calls per engine event on recorded sqlite "
+        f"(budget {CALLS_PER_EVENT_BUDGET})"
+    )
+
+
+def _retained_by_recorded_run(inserts_per_thread):
+    """GC-tracked objects a recorded sqlite run leaves alive (its
+    ``RunResult`` and recorder still referenced), and its engine events."""
+    program = registry.build(
+        "sqlite", threads=4, inserts_per_thread=inserts_per_thread
+    ).build(1)
+    gc.collect()
+    before = len(gc.get_objects())
+    recorder = Recorder(first_ns=MS(1))
+    result = program.run(recorder=recorder)
+    gc.collect()
+    retained = len(gc.get_objects()) - before
+    assert recorder.snapshots and not recorder.failed
+    return retained, result.events_processed
+
+
+def test_recorded_run_retains_no_gc_object_per_op():
+    short, short_events = _retained_by_recorded_run(200)
+    long, long_events = _retained_by_recorded_run(800)
+    assert long_events > 3 * short_events
+    # flat: well under one retained object per hundred extra events
+    assert long - short < 0.01 * (long_events - short_events), (
+        f"a recorded sqlite run retains {short} GC-tracked objects at 200 "
+        f"inserts per thread and {long} at 800"
     )

@@ -270,3 +270,22 @@ def test_mutex_contention_statistics():
         assert m.contended_acquires > 0
 
     run(main)
+
+
+def test_channel_builds_its_sync_ops_once_per_line():
+    from repro.sim.sync import Channel
+
+    chan = Channel(4)
+    other = line("s.c:2")
+
+    def ops(gen):
+        return [id(op) for op in gen]
+
+    put_ops = ops(chan.put(1, L))
+    assert ops(chan.put(2, L)) == put_ops
+    assert ops(chan.put(3, other)) != put_ops
+    get_ops = ops(chan.get(L))
+    assert ops(chan.get(L)) == get_ops
+    # put and get on one line share the channel's lock and unlock ops
+    assert (get_ops[0], get_ops[-1]) == (put_ops[0], put_ops[-1])
+    assert [type(op) for op in chan.close(L)] == [Lock, Signal, Signal, Unlock]
