@@ -665,59 +665,61 @@ done:
 
 /* Log one generator send to the recorder's OpLog -- the C twin of the
  * logging in Engine._advance (keep in sync).  `op` is NULL when the send
- * finished the generator. */
+ * finished the generator.  The op's sync primitives are walked first: an
+ * op that introduces one is a special entry even when its send is None. */
 static int
 c_log(Ctx *c, PyObject *t, PyObject *sv, PyObject *op)
 {
     PyObject *tid = t_get(t, SL_TID);
     if (tid == NULL)
         return -1;
-    if (op != NULL && sv == Py_None) {
+    int fresh = 0;
+    if (op != NULL) {
+        /* first-encounter ids for the op's sync primitives */
+        PyObject *attrs =
+            PyDict_GetItemWithError(c->sync_attrs, (PyObject *)Py_TYPE(op));
+        if (attrs == NULL && PyErr_Occurred())
+            return -1;
+        if (attrs != NULL && !PyTuple_Check(attrs)) {
+            PyErr_SetString(PyExc_TypeError, "malformed sync-attribute table");
+            return -1;
+        }
+        Py_ssize_t n_attrs = attrs != NULL ? PyTuple_GET_SIZE(attrs) : 0;
+        for (Py_ssize_t i = 0; i < n_attrs; i++) {
+            PyObject *obj = PyObject_GetAttr(op, PyTuple_GET_ITEM(attrs, i));
+            if (obj == NULL)
+                return -1;
+            int has = PyDict_Contains(c->log_sync, obj);
+            if (has == 0) {
+                PyObject *id =
+                    PyLong_FromSsize_t(PyDict_GET_SIZE(c->log_sync));
+                has = id ? PyDict_SetItem(c->log_sync, obj, id) : -1;
+                Py_XDECREF(id);
+                fresh = 1;
+            }
+            Py_DECREF(obj);
+            if (has < 0)
+                return -1;
+        }
+    }
+    if (op != NULL && sv == Py_None && !fresh) {
         /* the common entry: one thread id appended to the array column */
         PyObject *r = PyObject_CallOneArg(c->log_ids_append, tid);
         if (r == NULL)
             return -1;
         Py_DECREF(r);
-    }
-    else {
-        Py_ssize_t pos = PyObject_Length(c->log_ids);
-        if (pos < 0)
-            return -1;
-        PyObject *rec = Py_BuildValue(
-            "(niOO)", pos, op != NULL ? T_SEND : T_STOP, tid, sv);
-        if (rec == NULL)
-            return -1;
-        int ap = PyList_Append(c->log_specials, rec);
-        Py_DECREF(rec);
-        if (ap < 0)
-            return -1;
-    }
-    if (op == NULL)
         return 0;
-    /* first-encounter ids for the op's sync primitives */
-    PyObject *attrs =
-        PyDict_GetItemWithError(c->sync_attrs, (PyObject *)Py_TYPE(op));
-    if (attrs == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    if (!PyTuple_Check(attrs)) {
-        PyErr_SetString(PyExc_TypeError, "malformed sync-attribute table");
+    }
+    Py_ssize_t pos = PyObject_Length(c->log_ids);
+    if (pos < 0)
         return -1;
-    }
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(attrs); i++) {
-        PyObject *obj = PyObject_GetAttr(op, PyTuple_GET_ITEM(attrs, i));
-        if (obj == NULL)
-            return -1;
-        int has = PyDict_Contains(c->log_sync, obj);
-        if (has == 0) {
-            PyObject *id = PyLong_FromSsize_t(PyDict_GET_SIZE(c->log_sync));
-            has = id ? PyDict_SetItem(c->log_sync, obj, id) : -1;
-            Py_XDECREF(id);
-        }
-        Py_DECREF(obj);
-        if (has < 0)
-            return -1;
-    }
-    return 0;
+    PyObject *rec = Py_BuildValue(
+        "(niOO)", pos, op != NULL ? T_SEND : T_STOP, tid, sv);
+    if (rec == NULL)
+        return -1;
+    int ap = PyList_Append(c->log_specials, rec);
+    Py_DECREF(rec);
+    return ap;
 }
 
 static int

@@ -100,13 +100,13 @@ _EV_SLEEP = 3      # obj=thread, arg=chunk_token  -> timed suspension over
 _EV_TIMER = 4      # obj=callable                 -> profiler-thread timer
 
 #: op-log special-entry tags (see :class:`OpLog`)
-_T_SEND = 0   # (pos, _T_SEND, tid, send value): a non-None generator send
+_T_SEND = 0   # (pos, _T_SEND, tid, send value): a send that is not common
 _T_STOP = 1   # (pos, _T_STOP, tid, send value): the send that finished it
 _T_SPAWN = 2  # (pos, _T_SPAWN, child tid, parent tid): a spawn executed
 
 #: which attributes of each yielded op reference sync primitives; walked in
-#: log order on both the logging and the replay side, so first-encounter
-#: ids agree between capture and restore
+#: log order when an op is logged and when a special entry is replayed, so
+#: first-encounter ids agree between capture and restore
 _SYNC_ATTRS = {
     O.Lock: ("mutex",),
     O.TryLock: ("mutex",),
@@ -125,20 +125,26 @@ class OpLog:
 
     Checkpoint capture (:mod:`repro.sim.snapshot`) replays a program's
     generators from this log.  Nearly every interaction is a ``None`` sent
-    into a generator that yields its next op; that *common* entry is one
+    into a generator that yields its next op; when that op references no
+    sync primitive the log has not seen yet, the *common* entry is one
     thread id in ``ids``, a flat ``array`` that holds no Python object per
     entry — so the cyclic garbage collector has nothing to rescan however
-    long the run.  The rest are *special* entries in ``specials``, each
+    long the run, and replay does nothing per common entry but the send.
+    The rest are *special* entries in ``specials``, each
     ``(pos, tag, tid, value)`` with ``pos`` the number of common entries
-    logged before it: a non-``None`` send, the send a generator finished
-    on, and a spawn execution (a spawn continuation creates the child a
-    spawn-cost *after* the parent yielded ``Spawn``, so child-tid order is
-    a scheduling fact that must be logged).  Send values stay raw here;
-    the recorder serializes them when it captures.
+    logged before it: a non-``None`` send or a send whose op introduces a
+    sync primitive (``_T_SEND``), the send a generator finished on
+    (``_T_STOP``), and a spawn execution (``_T_SPAWN``: a spawn
+    continuation creates the child a spawn-cost *after* the parent yielded
+    ``Spawn``, so child-tid order is a scheduling fact that must be
+    logged).  Send values stay raw here; the recorder serializes them when
+    it captures.
 
     ``sync`` maps each sync primitive a logged op referenced to its
-    first-encounter id.  Both engine backends write this log identically:
-    ``Engine._advance`` / ``_do_spawn`` and ``_core.c``'s ``c_advance``.
+    first-encounter id; every primitive is first referenced at a special
+    entry, so replay rebuilds the ids by walking ops at specials only.  Both
+    engine backends write this log identically: ``Engine._advance`` /
+    ``_do_spawn`` and ``_core.c``'s ``c_log``.
     """
 
     __slots__ = ("ids", "specials", "sync")
@@ -918,11 +924,8 @@ class Engine:
                 return
             cls = op.__class__
             if oplog is not None:
-                # the OpLog contract (c_advance logs the same -- keep in sync)
-                if sv is None:
-                    oplog.ids.append(t.tid)
-                else:
-                    oplog.specials.append((len(oplog.ids), _T_SEND, t.tid, sv))
+                # the OpLog contract (c_log logs the same -- keep in sync)
+                fresh = False
                 attrs = _SYNC_ATTRS.get(cls)
                 if attrs is not None:
                     sync = oplog.sync
@@ -930,6 +933,11 @@ class Engine:
                         obj = getattr(op, attr)
                         if obj not in sync:
                             sync[obj] = len(sync)
+                            fresh = True
+                if sv is None and not fresh:
+                    oplog.ids.append(t.tid)
+                else:
+                    oplog.specials.append((len(oplog.ids), _T_SEND, t.tid, sv))
             t.send_value = None
             t.current_op = op
             if cls is O.Work:

@@ -12,21 +12,24 @@ pickled or deep-copied.  Capture therefore works by **record and replay**:
 
 * While a :class:`Recorder` is attached, the engine logs every generator
   interaction to a global :class:`~repro.sim.engine.OpLog` in two columns:
-  the thread id of each ``None`` send (nearly all of them) in a flat
-  array, and a short list of positioned special entries — non-``None``
-  sends, generator stops, and spawn executions (child-tid assignment order
-  is a scheduling fact, not derivable from yield order).  Sync primitives
-  get first-encounter integer ids as their ops are logged.  Each capture
-  serializes only the special entries added since the last one: send
-  values become small descriptors (scalars verbatim, threads and exit
-  values by tid).
+  the thread id of each *common* entry (a ``None`` send whose op introduces
+  no new sync primitive — nearly all of them) in a flat array, and a short
+  list of positioned special entries — other sends, generator stops, and
+  spawn executions (child-tid assignment order is a scheduling fact, not
+  derivable from yield order).  Sync primitives get first-encounter
+  integer ids as their ops are logged.  Each capture serializes only the
+  special entries added since the last one: send values become small
+  descriptors (scalars verbatim, threads and exit values by tid).
 * :func:`restore` rebuilds the program from scratch, replays the logged
   sends in their original global order — which re-executes the generator
   bodies and thereby reconstructs every closure (channels, work tables,
   spin-lock counters) exactly — and then overlays the engine-owned state the
   replay cannot reproduce: thread scheduling fields, sync-primitive
   wait-sets, the event heap verbatim, RNG streams, sampler accumulators,
-  and the profiler hook's own snapshot.
+  and the profiler hook's own snapshot.  The replay runs each id-column
+  slice between two special entries as one tight loop of bound
+  ``gen.send(None)`` calls; threads, sync ids and every desync check are
+  handled at the special entries alone.
 
 Bit-identity of a resumed run rests on three engine properties (see
 DESIGN.md §5f): the heap's tuple ordering never compares event payloads
@@ -46,8 +49,8 @@ import pickle
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim import ops as O
 from repro.sim.clock import MS
@@ -56,6 +59,7 @@ from repro.sim.engine import (
     _SYNC_ATTRS,
     _T_SEND,
     _T_SPAWN,
+    _T_STOP,
     Engine,
     OpLog,
     SimConfig,
@@ -75,7 +79,7 @@ __all__ = [
 ]
 
 #: bump whenever the capture layout changes; restore refuses other versions
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: first checkpoint-grid point (virtual ns)
 DEFAULT_GRID_FIRST_NS = MS(10)
@@ -489,88 +493,93 @@ def _resolve(descr: Any, threads: List[VThread]) -> Any:
     return threads[tid].exit_value
 
 
-def _entries(snapshot: EngineSnapshot) -> Iterator[tuple]:
-    """The snapshot's op log in logged order, as ``(tag, tid, value)``:
-    each id-column entry is a ``None`` send, and every special entry sits
-    at its position.  Iterated at C speed, with no per-entry Python frame."""
-    ids = snapshot.ids
-    parts: List[Any] = []
-    done = 0
-    for pos, tag, tid, value in snapshot.specials:
-        parts.append(zip(repeat(_T_SEND), ids[done:pos], repeat(None)))
-        parts.append(((tag, tid, value),))
-        done = pos
-    parts.append(zip(repeat(_T_SEND), ids[done:snapshot.n_ids], repeat(None)))
-    return chain.from_iterable(parts)
-
-
 def _replay(
     snapshot: EngineSnapshot,
     program: Any,
-    stream: Optional[List[tuple]] = None,
+    wrap: Optional[Callable[[int, Optional[int], Callable], Callable]] = None,
 ) -> Tuple[List[VThread], List[Any]]:
     """Re-execute the logged generator sends; rebuild threads and closures.
 
-    With ``stream`` given, every replayed interaction is appended to it as
-    ``(tid, sent, op)`` (see :func:`op_stream`).
+    Each id-column slice between two special entries is one tight loop:
+    ``cur[tid] = sends[tid](None)`` per entry, nothing else.  Thread
+    creation, sync-id rebuilding and the desync checks happen only at
+    special entries (see :class:`~repro.sim.engine.OpLog`).  ``sends``
+    holds each thread's ``gen.send``; with ``wrap`` given, it holds
+    ``wrap(tid, parent_tid, gen.send)`` instead, installed once when the
+    thread is created (see :func:`op_stream`).
     """
-    threads: List[VThread] = [VThread(program.main, name="main", tid=0)]
+    threads: List[VThread] = []
+    sends: List[Callable] = []
+    cur: List[Any] = []  # the last op each thread yielded
     sync_objs: Dict[Any, None] = {}
+
+    def start(t: VThread, parent: Optional[int]) -> None:
+        threads.append(t)
+        cur.append(None)
+        send = t.gen.send
+        sends.append(send if wrap is None else wrap(t.tid, parent, send))
+
+    start(VThread(program.main, name="main", tid=0), None)
+    ids = snapshot.ids
+    n_ids = snapshot.n_ids
+    done = 0
+    tid = 0
     try:
-        for i, (tag, a, b) in enumerate(_entries(snapshot)):
+        # a sentinel special closes the last slice
+        for pos, tag, who, value in chain(
+            snapshot.specials, ((n_ids, None, 0, None),)
+        ):
+            if not done <= pos <= n_ids:
+                raise SnapshotError(
+                    f"replay desync: special entry at {pos} is out of order"
+                )
+            for tid in ids[done:pos]:
+                cur[tid] = sends[tid](None)
+            done = pos
+            tid = who
             if tag == _T_SEND:
-                t = threads[a]
-                sent = b if type(b) is not tuple else _resolve(b, threads)
-                try:
-                    op = t.gen.send(sent)
-                except StopIteration:
-                    raise SnapshotError(
-                        f"replay desync: thread {a} finished early at op {i}"
-                    )
-                t.current_op = op
+                op = cur[tid] = sends[tid](_resolve(value, threads))
                 attrs = _SYNC_ATTRS.get(type(op))
                 if attrs is not None:
                     for attr in attrs:
-                        obj = getattr(op, attr)
-                        if obj not in sync_objs:
-                            sync_objs[obj] = None
-                if stream is not None:
-                    stream.append((a, sent, op))
+                        sync_objs.setdefault(getattr(op, attr))
             elif tag == _T_SPAWN:
-                parent = threads[b]
-                op = parent.current_op
+                op = cur[value] if 0 <= value < len(cur) else None
                 if type(op) is not O.Spawn:
                     raise SnapshotError(
-                        f"replay desync: spawn entry {i} but parent {b} "
-                        f"yielded {type(op).__name__}"
+                        f"replay desync: spawn of thread {tid} but parent "
+                        f"{value} yielded {type(op).__name__}"
                     )
-                if a != len(threads):
+                if tid != len(threads):
                     raise SnapshotError(
                         f"replay desync: expected child tid {len(threads)}, "
-                        f"log says {a}"
+                        f"log says {tid}"
                     )
-                threads.append(
-                    VThread(op.body, name=op.name, parent=parent, tid=a)
-                )
-                if stream is not None:
-                    stream.append((a, b, _T_SPAWN))
-            else:  # _T_STOP
-                t = threads[a]
-                sent = _resolve(b, threads)
+                parent = threads[value]
+                start(VThread(op.body, name=op.name, parent=parent, tid=tid), value)
+            elif tag == _T_STOP:
                 try:
-                    t.gen.send(sent)
+                    sends[tid](_resolve(value, threads))
                 except StopIteration as stop:
-                    t.exit_value = stop.value
+                    threads[tid].exit_value = stop.value
                 else:
                     raise SnapshotError(
-                        f"replay desync: thread {a} kept running at op {i}"
+                        f"replay desync: thread {tid} kept running at {pos}"
                     )
-                if stream is not None:
-                    stream.append((a, sent, None))
     except SnapshotError:
         raise
+    except StopIteration:
+        raise SnapshotError(
+            f"replay desync: thread {tid} finished early"
+        ) from None
     except Exception as exc:
-        raise SnapshotError(f"replay failed at program level: {exc!r}") from exc
+        if not 0 <= tid < len(threads):
+            raise SnapshotError(
+                f"replay desync: thread {tid} was never spawned"
+            ) from None
+        raise SnapshotError(
+            f"replay failed at program level in thread {tid}: {exc!r}"
+        ) from exc
     if len(threads) != len(snapshot.threads):
         raise SnapshotError(
             f"replay produced {len(threads)} threads, snapshot has "
@@ -581,6 +590,8 @@ def _replay(
             f"replay registered {len(sync_objs)} sync objects, snapshot has "
             f"{len(snapshot.sync)}"
         )
+    for t, op in zip(threads, cur):
+        t.current_op = op
     return threads, list(sync_objs)
 
 
@@ -594,7 +605,24 @@ def op_stream(snapshot: EngineSnapshot, program: Any) -> List[tuple]:
     execution.  Send values are the replayed objects.
     """
     stream: List[tuple] = []
-    _replay(snapshot, program, stream)
+    append = stream.append
+
+    def wrap(tid: int, parent: Optional[int], send: Callable) -> Callable:
+        if parent is not None:
+            append((tid, parent, _T_SPAWN))
+
+        def recording_send(sent: Any) -> Any:
+            try:
+                op = send(sent)
+            except StopIteration:
+                append((tid, sent, None))
+                raise
+            append((tid, sent, op))
+            return op
+
+        return recording_send
+
+    _replay(snapshot, program, wrap)
     return stream
 
 

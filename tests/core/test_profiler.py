@@ -221,3 +221,34 @@ def test_config_validation():
         CozConfig(speedup_values=(5, 10)).validate()  # no baseline
     with pytest.raises(ValueError):
         CozConfig(min_visits=0).validate()
+
+
+def test_literal_batch_counts_only_samples_taken_after_the_experiment_began():
+    """Literal sample segments (rehydrated by snapshot restore, or left by
+    fault perturbation) get the same stale-sample cut as affine ones: a
+    sample buffered before the experiment started is not a hit."""
+    from repro.sim.engine import Engine
+    from repro.sim.sampler import SEG_LITERAL, Sample
+
+    def main(t):
+        yield Work(HOT, US(100))
+
+    prof = CausalProfiler(
+        CozConfig(experiment_duration_ns=MS(10)), [ProgressPoint("tick")]
+    )
+    engine = Engine(SimConfig(sample_period_ns=US(100)))
+    engine.install(prof)
+    thread = engine.spawn(main, name="main")
+    engine.now = MS(5)
+    prof._start_experiment(HOT)
+    start = prof._start_ns
+    batch = engine.sampler.new_buffer(
+        [Sample(start + d, thread.tid, HOT, (HOT,), "")
+         for d in (-200, -1, 0, 1, 300)]
+    )
+    assert [seg[0] for seg in batch.segs] == [SEG_LITERAL]
+    prof.on_samples(thread, batch)
+    prof._end_experiment(prof._experiment_token)
+    (experiment,) = prof.data.experiments
+    assert experiment.line == HOT
+    assert experiment.selected_samples == 3

@@ -12,6 +12,7 @@ parallel executor ships snapshots to workers pickled).
 from __future__ import annotations
 
 import pickle
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -20,7 +21,7 @@ from repro.apps import registry
 from repro.core.config import CozConfig
 from repro.core.profiler import CausalProfiler
 from repro.sim.clock import MS
-from repro.sim.engine import Engine, SimConfig
+from repro.sim.engine import _T_SEND, _T_SPAWN, _T_STOP, Engine, SimConfig
 from repro.sim.errors import SimulationError
 from repro.sim.faults import FaultPlan
 from repro.sim.snapshot import Recorder, SnapshotError, restore
@@ -238,3 +239,75 @@ def test_restore_into_mismatched_program_raises_not_corrupts():
     _, wrong_program, wrong_prof = _build("example", seed, rounds=7)
     with pytest.raises(SnapshotError):
         wrong_program.resume(snap, hook=wrong_prof)
+
+
+# ----------------------------------------------------------- tampered logs
+
+
+def _recorded_to_end(seed=3):
+    """A small run recorded to its end and captured once there: every
+    thread spawned, ran and stopped inside the snapshot's op log."""
+    spec = registry.build("example", rounds=6)
+    program = spec.build(seed)
+    engine = Engine(program.config)
+    recorder = Recorder(grid=[])
+    recorder.attach(engine)
+    engine.spawn(program.main, name="main")
+    engine.run()
+    recorder.take(engine)
+    return spec, recorder.snapshots[-1]
+
+
+def _with_ids(snap, extra):
+    ids = array("I", snap.ids[: snap.n_ids])
+    ids.extend(extra)
+    return replace(snap, ids=ids, n_ids=len(ids))
+
+
+def test_untampered_log_replays():
+    spec, snap = _recorded_to_end()
+    restore(snap, spec.build(3))
+
+
+def test_ids_past_a_threads_end_raise_snapshot_error():
+    spec, snap = _recorded_to_end()
+    stopped = next(tid for _pos, tag, tid, _v in snap.specials if tag == _T_STOP)
+    with pytest.raises(SnapshotError, match=f"thread {stopped} finished early"):
+        restore(_with_ids(snap, [stopped]), spec.build(3))
+
+
+def test_id_of_a_never_spawned_thread_raises_snapshot_error():
+    spec, snap = _recorded_to_end()
+    ghost = len(snap.threads) + 3
+    with pytest.raises(SnapshotError, match=f"thread {ghost} was never spawned"):
+        restore(_with_ids(snap, [ghost]), spec.build(3))
+
+
+def test_spawn_by_the_wrong_parent_raises_snapshot_error():
+    spec, snap = _recorded_to_end()
+    specials = list(snap.specials)
+    k = [i for i, sp in enumerate(specials) if sp[1] == _T_SPAWN][1]
+    pos, _tag, child, parent = specials[k]
+    wrong = child - 1
+    assert wrong != parent
+    specials[k] = (pos, _T_SPAWN, child, wrong)
+    with pytest.raises(SnapshotError, match=f"parent {wrong} yielded"):
+        restore(replace(snap, specials=tuple(specials)), spec.build(3))
+
+
+def test_stop_of_a_running_thread_raises_snapshot_error():
+    spec, snap = _recorded_to_end()
+    specials = list(snap.specials)
+    # main is still spawning workers here, so it cannot have finished
+    k = [i for i, sp in enumerate(specials) if sp[1] == _T_SPAWN][1]
+    specials.insert(k, (specials[k][0], _T_STOP, 0, None))
+    with pytest.raises(SnapshotError, match="thread 0 kept running"):
+        restore(replace(snap, specials=tuple(specials)), spec.build(3))
+
+
+def test_send_to_a_never_spawned_thread_raises_snapshot_error():
+    spec, snap = _recorded_to_end()
+    ghost = len(snap.threads)
+    specials = snap.specials + ((snap.n_ids, _T_SEND, ghost, None),)
+    with pytest.raises(SnapshotError, match=f"thread {ghost} was never spawned"):
+        restore(replace(snap, specials=specials), spec.build(3))
