@@ -10,8 +10,6 @@ Subcommands:
   on each app and compare their rankings (:mod:`repro.harness.differential`);
 * ``doctor <app>`` — run the delay-accounting invariant audit
   (:mod:`repro.core.audit`) and print a pass/fail table;
-* ``bench`` — engine throughput microbenchmarks over the fixed app matrix,
-  emitting ``BENCH_engine.json`` (:mod:`repro.harness.bench`);
 * ``serve`` — run the multi-tenant profiling daemon
   (:mod:`repro.harness.service`): a bounded worker pool over a Unix
   socket, with fingerprint dedup, per-tenant admission control, and
@@ -181,87 +179,7 @@ def cmd_overhead(args: argparse.Namespace) -> int:
     return _finish_audit(audit_report)
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.bench import (
-        baseline_history,
-        check_regression,
-        run_bench,
-        write_bench,
-    )
-
-    doc = run_bench(
-        quick=args.quick,
-        apps=args.apps or None,
-        progress=lambda msg: print(msg, file=sys.stderr),
-        variants=args.variants or None,
-    )
-    # gate against the history already on disk, before this run's own
-    # entry (if any) joins it — a run must not be its own baseline
-    prior_history: list = []
-    if args.gate is not None and os.path.exists(args.output):
-        try:
-            with open(args.output) as f:
-                prior_history = json.load(f).get("history", []) or []
-        except (OSError, ValueError):
-            prior_history = []
-    if args.label:
-        doc["history"] = doc.get("history", []) + [
-            {
-                "label": args.label,
-                "generated_unix": doc["generated_unix"],
-                # quick runs are crash smoke only: the tag keeps them out
-                # of cross-PR baseline comparisons (bench.baseline_history)
-                "quick": doc["quick"],
-                # same-backend filtering for perf gates (baseline_history)
-                "backend": doc["backend"],
-                "summary": doc["summary"],
-            }
-        ]
-    write_bench(doc, args.output)
-    for cell in doc["cells"]:
-        print(
-            f"{cell['name']:<22} wall {cell['wall_s']:>7.3f}s"
-            f"  ({cell['wall_s_per_run']:.3f}s/run)"
-            f"  {cell['events_per_sec']:>9,} ev/s"
-            f"  {cell['virtual_ns_per_wall_s']:>13,} vns/s"
-            f"  {cell['samples']:>7} samples"
-        )
-    legacy = doc["summary"]["speedup_vs_legacy"]
-    if legacy:
-        pairs = ", ".join(f"{app} {ratio:.2f}x" for app, ratio in legacy.items())
-        print(f"coalescing speedup vs legacy quantum path: {pairs}")
-    ckpt = doc["summary"].get("checkpoint_speedup") or {}
-    if ckpt:
-        pairs = ", ".join(f"{app} {ratio:.2f}x" for app, ratio in ckpt.items())
-        print(f"checkpoint fast-forward speedup vs cold sessions: {pairs}")
-    harness = doc["summary"].get("harness") or {}
-    for app, m in harness.items():
-        print(
-            f"harness ({app}): warm serial {m.get('warm_serial_wall_s')}s, "
-            f"warm parallel {m.get('warm_parallel_wall_s')}s, dispatch "
-            f"{m.get('dispatch_overhead_per_run_ms')} ms/run, wire "
-            f"{m.get('bytes_per_run_binary')} B/run binary vs "
-            f"{m.get('bytes_per_run_json')} B/run JSON "
-            f"({m.get('wire_ratio')}x)"
-        )
-    baselines = baseline_history(doc.get("history", []))
-    if baselines:
-        print(f"cross-PR baselines on record: {len(baselines)} "
-              f"({len(doc.get('history', [])) - len(baselines)} quick entries excluded)")
-    print(f"bench results written to {args.output}")
-    if args.gate is not None:
-        problems = check_regression(doc, prior_history, pct=args.gate)
-        if problems:
-            for problem in problems:
-                print(f"PERF REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"perf gate passed (threshold {args.gate:g}%)")
-    return 0
-
-
 def _service_socket(args: argparse.Namespace) -> str:
-    import os
-
     if getattr(args, "socket", None):
         return args.socket
     return os.path.join(args.state_dir, "daemon.sock")
@@ -301,8 +219,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.harness.service import (
         JobSpec,
         ServiceClient,
@@ -334,7 +250,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     except ServiceUnavailableError as exc:
         raise SystemExit(str(exc))
     if args.json:
-        print(_json.dumps(response, sort_keys=True, indent=2))
+        print(json.dumps(response, sort_keys=True, indent=2))
     if not response.get("ok"):
         if not args.json:
             print(f"shed: {response.get('message', response.get('error'))}")
@@ -361,8 +277,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_service_status(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.harness.service import ServiceClient, ServiceUnavailableError
 
     client = ServiceClient(_service_socket(args))
@@ -372,7 +286,7 @@ def cmd_service_status(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
     status = doc.get("status") or {}
     if args.json:
-        print(_json.dumps(status, sort_keys=True, indent=2))
+        print(json.dumps(status, sort_keys=True, indent=2))
     else:
         workers = status.get("workers", {})
         queue = status.get("queue", {})
@@ -556,38 +470,6 @@ def main(argv: Optional[list] = None) -> int:
     _add_jobs_flag(p)
     _add_audit_flag(p)
     p.set_defaults(fn=cmd_overhead)
-
-    p = sub.add_parser(
-        "bench", help="engine throughput microbenchmarks (BENCH_engine.json)"
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="shrink runs/repeats for CI smoke jobs",
-    )
-    p.add_argument(
-        "--output", default="BENCH_engine.json", metavar="PATH",
-        help="where to write the results document (default: ./BENCH_engine.json)",
-    )
-    p.add_argument(
-        "--app", dest="apps", action="append", metavar="NAME",
-        help="restrict the matrix to this app (repeatable; default: "
-             "example, ferret, sqlite)",
-    )
-    p.add_argument(
-        "--variant", dest="variants", action="append", metavar="NAME",
-        help="restrict the matrix to this variant (repeatable; e.g. "
-             "'harness' for the dispatch-overhead perf gate)",
-    )
-    p.add_argument(
-        "--label", metavar="TEXT",
-        help="append this run's summary to the document's cross-PR history",
-    )
-    p.add_argument(
-        "--gate", type=float, default=None, metavar="PCT",
-        help="fail (exit 1) when the harness cell regresses by more than "
-             "PCT%% against the recorded same-backend baseline history",
-    )
-    p.set_defaults(fn=cmd_bench)
 
     def _add_socket_flags(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(

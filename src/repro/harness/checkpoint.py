@@ -11,7 +11,7 @@ the journal uses) plus the per-run seed.
 Storage is two-level:
 
 * a process-global in-memory LRU, so repeated sessions in one process
-  (bench warm trials, doctor identity checks, back-to-back CLI sessions)
+  (doctor identity checks, back-to-back CLI and service sessions)
   resume without touching disk;
 * an optional on-disk cache directory, shared between the parent and pool
   workers and across processes.  Files are content-addressed,
@@ -71,7 +71,7 @@ class CheckpointCacheWarning(UserWarning):
 
 
 def clear_memory_cache() -> None:
-    """Drop every in-memory checkpoint (tests, and bench cold baselines)."""
+    """Drop every in-memory checkpoint (tests and cold-session baselines)."""
     _MEMORY.clear()
 
 

@@ -4,7 +4,7 @@ One request, one response, one connection — the client opens a fresh
 Unix-socket connection per call, writes a single newline-framed JSON
 request, and reads the single response.  No connection pooling, no
 retries: a daemon that cannot be reached raises the typed
-:class:`ServiceUnavailableError` and the caller (CLI, bench, tests)
+:class:`ServiceUnavailableError` and the caller (CLI, tests)
 decides what that means.
 """
 

@@ -235,8 +235,8 @@ class Engine:
         self.backend: str = _backend.resolve_backend(self.cfg.backend)
         self._backend_loop = _backend.event_loop_for(self.backend)
         #: times the compiled core actually ran an event loop for this
-        #: engine (0 under the pure backend or an accel fallback) — bench
-        #: and tests use this to prove the accel path really engaged
+        #: engine (0 under the pure backend or an accel fallback) — tests
+        #: use this to prove the accel path really engaged
         self.accel_loops = 0
         self.sampler = Sampler(self.cfg.sample_period_ns, self.cfg.sample_batch)
         self.sampling_enabled = False
@@ -264,7 +264,7 @@ class Engine:
         self.total_delay_ns = 0
         #: total nominal CPU time executed across all threads
         self.total_cpu_ns = 0
-        #: heap events processed (perf observability, see `repro bench`)
+        #: heap events processed (perf observability, see perfbench's traces)
         self.events_processed = 0
 
         self.main_thread: Optional[VThread] = None

@@ -242,3 +242,53 @@ def test_cached_build_memoizes_and_invalidates():
     finally:
         registry.unregister("_test_cache_probe")
     assert cached_build(ref) is first  # unrelated names stay cached
+
+
+# -- dispatch payload --------------------------------------------------------------
+
+#: pickled bytes a warm pool session may ship per run: task, config and a
+#: snapshot reference, never the snapshot itself (about 560 B/run today;
+#: a shipped ferret snapshot is about 240 KB/run)
+DISPATCH_BYTES_PER_RUN_BUDGET = 2048
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="snapshot references need fork-started workers",
+)
+def test_warm_dispatch_payload_within_budget(monkeypatch):
+    """A warm parallel session ships each worker a reference to the
+    cached snapshot, not the snapshot: the bytes handed to the pool are
+    a counter, the same on any machine.  The batch count is not gated;
+    it depends on the usable cores."""
+    from repro.harness.checkpoint import clear_memory_cache
+
+    runs = 20
+    shipped = []
+    real_submit = parallel._PoolSession.submit
+
+    def measuring_submit(self, batch):
+        wired = [self._wire_task(t) for t in batch.tasks]
+        shipped.append(len(pickle.dumps(wired)))
+        return real_submit(self, batch)
+
+    clear_memory_cache()
+    try:
+        cold = run_profile_session(
+            registry.build("ferret"),
+            ProfileRequest(runs=runs, execution=ExecutionConfig(jobs=1)),
+        )
+        monkeypatch.setattr(parallel._PoolSession, "submit", measuring_submit)
+        warm = run_profile_session(
+            registry.build("ferret"),
+            ProfileRequest(runs=runs, execution=ExecutionConfig(jobs=2)),
+        )
+    finally:
+        clear_memory_cache()
+    assert warm.data == cold.data
+    assert shipped, "the warm session never dispatched to the pool"
+    per_run = sum(shipped) / runs
+    assert per_run <= DISPATCH_BYTES_PER_RUN_BUDGET, (
+        f"{per_run:,.0f} B/run shipped to pool workers "
+        f"(budget {DISPATCH_BYTES_PER_RUN_BUDGET} B/run)"
+    )

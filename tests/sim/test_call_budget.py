@@ -25,12 +25,20 @@ drives each id-column slice with one tight ``cur[tid] = sends[tid](None)``
 loop (13.3 per entry on CPython 3.11.7); it read 53.6 while every entry
 went through a tag dispatch, a send-value check and a sync-attribute
 lookup.
+
+Checkpoint size is counted in bytes: a pickled snapshot per op-log entry
+it replays.  The id column stores one small integer per entry and the
+specials are few, so the ratio stays near 4–5 bytes and falls as the run
+grows (4.76 at 150 inserts per thread, 4.20 at 600).  The live id column
+is held to the same budget in memory (4.07 bytes per entry at 600), so an
+eight-byte id column or a Python list of ids fails it.
 """
 
 from __future__ import annotations
 
 import gc
 import os
+import pickle
 import sys
 from dataclasses import replace
 
@@ -43,6 +51,7 @@ from repro.sim.snapshot import Recorder, restore
 
 CALLS_PER_EVENT_BUDGET = 8.0
 REPLAY_OPCODES_PER_ENTRY_BUDGET = 20.0
+SNAPSHOT_BYTES_PER_ENTRY_BUDGET = 6.0
 
 _ROOT = os.path.dirname(repro.__file__)
 
@@ -117,13 +126,17 @@ def test_recorded_run_retains_no_gc_object_per_op():
     )
 
 
-def test_replay_opcodes_per_entry_within_budget():
-    spec = registry.build("sqlite", threads=4, inserts_per_thread=150)
+def _deepest_snapshot(inserts_per_thread):
+    spec = registry.build("sqlite", threads=4, inserts_per_thread=inserts_per_thread)
     recorder = Recorder(first_ns=MS(1))
     spec.build(1).run(recorder=recorder)
     assert recorder.snapshots and not recorder.failed
-    snapshot = recorder.snapshots[-1]
-    program = spec.build(1)
+    return recorder.snapshots[-1]
+
+
+def test_replay_opcodes_per_entry_within_budget():
+    snapshot = _deepest_snapshot(150)
+    program = registry.build("sqlite", threads=4, inserts_per_thread=150).build(1)
     target = os.path.join(_ROOT, "sim", "snapshot.py")
     opcodes = 0
 
@@ -150,4 +163,31 @@ def test_replay_opcodes_per_entry_within_budget():
     assert ratio <= REPLAY_OPCODES_PER_ENTRY_BUDGET, (
         f"{ratio:.1f} opcodes in snapshot.py per replayed op-log entry "
         f"({entries} entries; budget {REPLAY_OPCODES_PER_ENTRY_BUDGET})"
+    )
+
+
+def _pickled_bytes_per_entry(snapshot):
+    return len(pickle.dumps(snapshot)) / (snapshot.n_ids + len(snapshot.specials))
+
+
+def test_snapshot_bytes_per_entry_within_budget():
+    short = _deepest_snapshot(150)
+    long = _deepest_snapshot(600)
+    short_bytes = _pickled_bytes_per_entry(short)
+    long_bytes = _pickled_bytes_per_entry(long)
+    assert short_bytes <= SNAPSHOT_BYTES_PER_ENTRY_BUDGET, (
+        f"{short_bytes:.2f} pickled snapshot bytes per op-log entry on sqlite "
+        f"(budget {SNAPSHOT_BYTES_PER_ENTRY_BUDGET})"
+    )
+    # the fixed part amortizes: a longer run costs no more per entry
+    assert long_bytes <= short_bytes, (
+        f"{long_bytes:.2f} pickled snapshot bytes per op-log entry at 600 "
+        f"inserts per thread, {short_bytes:.2f} at 150"
+    )
+    # the live id column is as compact as its pickle: a Python list of
+    # small ints pickles to ~2 bytes per entry but holds 8 in memory
+    resident = sys.getsizeof(long.ids) / len(long.ids)
+    assert resident <= SNAPSHOT_BYTES_PER_ENTRY_BUDGET, (
+        f"the op-log id column holds {resident:.2f} bytes per entry in memory "
+        f"(budget {SNAPSHOT_BYTES_PER_ENTRY_BUDGET})"
     )

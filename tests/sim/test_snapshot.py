@@ -161,7 +161,7 @@ def test_snapshot_pickle_round_trip_resumes_identically():
 
 
 def test_same_snapshot_resumes_twice():
-    """Stored snapshots are resumed repeatedly (bench warm trials, LRU)."""
+    """Stored snapshots are resumed repeatedly (warm sessions, the LRU)."""
     seed = 9
     spec, program, prof = _build("example", seed, rounds=40)
     cold = program.run(hook=prof)
