@@ -6,9 +6,7 @@
 2. phase correction on/off (eq. 8): correction scales down speedups of lines
    that only run during part of the execution;
 3. interference model on/off: without it, the spin barrier costs almost
-   nothing — the fluidanimate/streamcluster case studies need it;
-4. random vs systematic speedup exploration: the paper's warning about bias
-   from warmup-dependent lines.
+   nothing — the fluidanimate/streamcluster case studies need it.
 """
 
 

@@ -11,6 +11,7 @@ Paper results:
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.apps import registry
 from repro.apps.dedup import LINE_HASH_LOOP, build_dedup
 from repro.apps.ferret import (
     DEFAULT_THREADS,
@@ -53,8 +54,8 @@ def test_accuracy_ferret_line_speedup(benchmark):
         realized = compare_builds(
             "ferret-line",
             build_ferret(DEFAULT_THREADS, n_queries=800).build,
-            build_ferret(
-                DEFAULT_THREADS, n_queries=800,
+            registry.build(
+                "ferret", threads=DEFAULT_THREADS, n_queries=800,
                 line_speedups={LINE_INDEX: factor},
             ).build,
             runs=4,

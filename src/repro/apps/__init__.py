@@ -4,8 +4,10 @@ Every app module exposes a builder returning an :class:`AppSpec`; the spec
 carries a fresh-:class:`~repro.sim.program.Program` factory plus the
 progress points and scope used in the paper's case study.  Builders accept
 an ``optimized`` flag (and app-specific knobs) to produce the paper's
-post-optimization variants, and a ``line_speedups`` mapping to scale the
-cost of specific lines (the §4.3 accuracy methodology).
+post-optimization variants.  Actually speeding specific lines up (the §4.3
+accuracy methodology) is not the builders' job: ``build(name,
+line_speedups={line: factor})`` sets ``SimConfig.line_speedups`` on every
+program the spec builds, and the engine scales those lines' costs.
 
 All bundled apps are addressable by name through :mod:`repro.apps.registry`
 (re-exported here): ``build("ferret", optimized=True)`` returns a fresh

@@ -13,15 +13,13 @@ the optimized variant shrinks exactly those lines by the calibrated factor.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.apps.spec import AppSpec, line_factor, scaled
+from repro.apps.spec import AppSpec
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
 from repro.sim.ops import BarrierWait, Join, Progress, Spawn, Work
 from repro.sim.program import Program
-from repro.sim.source import Scope, SourceLine, line
+from repro.sim.source import Scope, line
 from repro.sim.sync import Barrier
 
 LINE_CNDF1 = line("blackscholes.c:110")
@@ -47,19 +45,17 @@ def build_blackscholes(
     n_rounds: int = 300,
     round_ns: int = MS(1.6),
     kernel_share: float = 0.56,
-    line_speedups: Optional[Dict[SourceLine, float]] = None,
 ) -> AppSpec:
     """Build blackscholes; ``optimized=True`` applies the CSE/fusion fix."""
-    ls = line_speedups
     factor = OPTIMIZED_KERNEL_FACTOR if optimized else 1.0
     kernel_ns = int(round_ns * kernel_share * factor / len(KERNEL_LINES))
     loop_ns = int(round_ns * (1.0 - kernel_share))
 
     def make(seed: int = 0) -> Program:
         # one round's constant ops, built once
-        round_work = tuple(
-            Work(src, scaled(kernel_ns, line_factor(ls, src))) for src in KERNEL_LINES
-        ) + (Work(LINE_LOOP, scaled(loop_ns, line_factor(ls, LINE_LOOP))),)
+        round_work = tuple(Work(src, kernel_ns) for src in KERNEL_LINES) + (
+            Work(LINE_LOOP, loop_ns),
+        )
         reach_progress = Work(LINE_PROGRESS_SRC, 0)
         round_done = Progress(PROGRESS)
 

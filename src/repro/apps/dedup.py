@@ -20,16 +20,14 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Dict, Optional
-
 from repro.apps.hashtable import HASH_VARIANTS, HashTable, make_keys
-from repro.apps.spec import AppSpec, line_factor, scaled
+from repro.apps.spec import AppSpec
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
 from repro.sim.ops import POP_FRAME, Join, Progress, Spawn, Work, push_frame
 from repro.sim.program import Program
-from repro.sim.source import Scope, SourceLine, line
+from repro.sim.source import Scope, line
 from repro.sim.sync import Channel
 
 #: the chain-traversal loop in hashtable_search (the paper's finding)
@@ -59,7 +57,6 @@ def build_dedup(
     search_base_ns: int = US(40),
     search_iter_ns: int = US(3.55),
     compress_ns: int = US(400),
-    line_speedups: Optional[Dict[SourceLine, float]] = None,
 ) -> AppSpec:
     """Build dedup with the given hash-function variant.
 
@@ -72,21 +69,17 @@ def build_dedup(
     """
     if variant not in HASH_VARIANTS:
         raise ValueError(f"unknown dedup variant: {variant}")
-    ls = line_speedups
 
     def make(seed: int = 0) -> Program:
         # constant ops, built once: each stage's call frame and its work
         enter_fragment = push_frame("fragment")
-        fragment = _scaled_work(LINE_FRAGMENT, fragment_ns, ls)
+        fragment = Work(LINE_FRAGMENT, fragment_ns)
         enter_sha1 = push_frame("sha1")
-        sha1 = _scaled_work(LINE_SHA, sha_ns, ls)
+        sha1 = Work(LINE_SHA, sha_ns)
         enter_search = push_frame("hashtable_search")
-        search_base = (
-            _scaled_work(LINE_HASH_BASE, search_base_ns, ls) if search_base_ns else None
-        )
-        loop_factor = line_factor(ls, LINE_HASH_LOOP)
+        search_base = Work(LINE_HASH_BASE, search_base_ns) if search_base_ns else None
         enter_compress = push_frame("compress")
-        compress = _scaled_work(LINE_COMPRESS, compress_ns, ls)
+        compress = Work(LINE_COMPRESS, compress_ns)
         reach_progress = Work(LINE_PROGRESS, 0)
         block_compressed = Progress(PROGRESS)
 
@@ -125,7 +118,7 @@ def build_dedup(
                     yield enter_search
                     if search_base is not None:
                         yield search_base
-                    yield Work(LINE_HASH_LOOP, scaled(links * search_iter_ns, loop_factor))
+                    yield Work(LINE_HASH_LOOP, links * search_iter_ns)
                     yield POP_FRAME
                     yield from hash_to_comp.put(item)
 
@@ -185,7 +178,3 @@ def build_dedup(
             "compress": LINE_COMPRESS,
         },
     )
-
-
-def _scaled_work(src: SourceLine, ns: int, line_speedups) -> Work:
-    return Work(src, scaled(ns, line_factor(line_speedups, src)))

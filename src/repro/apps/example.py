@@ -22,9 +22,7 @@ shape to the paper's end-to-end profile:
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Optional
-
-from repro.apps.spec import AppSpec, line_factor, scaled
+from repro.apps.spec import AppSpec
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
@@ -46,21 +44,18 @@ def build_example(
     rounds: int = 300,
     a_ns: int = A_NS,
     b_ns: int = B_NS,
-    line_speedups: Optional[Dict[SourceLine, float]] = None,
 ) -> AppSpec:
     """Build the Figure 1 example program.
 
-    ``line_speedups`` scales the cost of ``LINE_A``/``LINE_B`` — e.g.
-    ``{LINE_A: 0.0}`` is "optimize a() away entirely", the experiment whose
-    outcome the paper bounds at 4.5%.
+    ``registry.build("example", line_speedups={LINE_A: 0.0})`` is "optimize
+    a() away entirely", the experiment whose outcome the paper bounds at
+    4.5%.
     """
-    a_cost = scaled(a_ns, line_factor(line_speedups, LINE_A))
-    b_cost = scaled(b_ns, line_factor(line_speedups, LINE_B))
 
     def make(seed: int = 0) -> Program:
         # constant ops, built once: a function call wrapping its loop
-        call_a = _call_ops("a", LINE_A, a_cost)
-        call_b = _call_ops("b", LINE_B, b_cost)
+        call_a = _call_ops("a", LINE_A, a_ns)
+        call_b = _call_ops("b", LINE_B, b_ns)
         round_done = Progress("round")
 
         def main(t):
@@ -102,9 +97,7 @@ def build_example(
 
 def _call_ops(func: str, src: SourceLine, total_ns: int) -> tuple:
     """One call to the volatile counting loop: all time on one source line."""
-    if total_ns > 0:
-        return (push_frame(func), Work(src, total_ns), POP_FRAME)
-    return (push_frame(func), POP_FRAME)
+    return (push_frame(func), Work(src, total_ns), POP_FRAME)
 
 
 def expected_profile_point(pct: int, a_ns: int = A_NS, b_ns: int = B_NS) -> float:

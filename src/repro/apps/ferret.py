@@ -24,15 +24,15 @@ Fidelity notes:
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
-from repro.apps.spec import AppSpec, line_factor, scaled
+from repro.apps.spec import AppSpec
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
 from repro.sim.ops import IO, POP_FRAME, Join, Progress, Spawn, Work, push_frame
 from repro.sim.program import Program
-from repro.sim.source import Scope, SourceLine, line
+from repro.sim.source import Scope, line
 from repro.sim.sync import Channel
 
 # in-scope callsites (the lines the paper's Figure 6 shows)
@@ -66,13 +66,11 @@ OPTIMIZED_THREADS: Sequence[int] = (10, 1, 11, 10)
 def build_ferret(
     threads: Sequence[int] = DEFAULT_THREADS,
     n_queries: int = 1200,
-    line_speedups: Optional[Dict[SourceLine, float]] = None,
     work_jitter: float = 0.15,
 ) -> AppSpec:
     """Build ferret with the given (seg, extract, index, rank) pool sizes."""
     if len(threads) != 4 or any(n < 1 for n in threads):
         raise ValueError("threads must be four positive pool sizes")
-    ls = line_speedups
     stage_info = [
         ("segment", LINE_SEG, _LIB_SEG, "image_segment", SEG_NS, threads[0]),
         ("extract", LINE_EXTRACT, _LIB_EXTRACT, "feature_extract", EXTRACT_NS, threads[1]),
@@ -97,7 +95,6 @@ def build_ferret(
 
             def make_stage_worker(idx, callsite, lib_line, func, service_ns, wid):
                 wrng = random.Random((seed << 8) ^ (idx << 4) ^ wid)
-                base = scaled(service_ns, line_factor(ls, callsite))
                 enter = push_frame(func, callsite)
 
                 def worker(t2):
@@ -107,10 +104,9 @@ def build_ferret(
                         if item is Channel.CLOSED:
                             break
                         jitter = 1.0 + work_jitter * (2 * wrng.random() - 1.0)
-                        dur = max(0, int(base * jitter))
+                        dur = max(0, int(service_ns * jitter))
                         yield enter
-                        if dur > 0:
-                            yield Work(lib_line, dur)
+                        yield Work(lib_line, dur)
                         yield POP_FRAME
                         yield from outq.put(item, callsite)
 

@@ -19,14 +19,12 @@ cache-coherence feedback that makes the custom barrier so expensive.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.apps.phases import build_phased_main, phased_sim_config
 from repro.apps.spec import AppSpec
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS
 from repro.sim.program import Program
-from repro.sim.source import Scope, SourceLine, line
+from repro.sim.source import Scope, line
 
 #: the two barrier lines Coz flags (Figure 8)
 LINE_SPIN = line("parsec_barrier.cpp:163")
@@ -47,7 +45,6 @@ def build_fluidanimate(
     work_ns: int = MS(0.9),
     imbalance: float = 0.18,
     interference_coeff: float = 0.62,
-    line_speedups: Optional[Dict[SourceLine, float]] = None,
 ) -> AppSpec:
     """Build fluidanimate; ``optimized=True`` swaps in a pthread barrier."""
 
@@ -62,7 +59,6 @@ def build_fluidanimate(
             spin_line=LINE_SPIN,
             progress_name=PROGRESS,
             seed=seed,
-            line_speedups=line_speedups,
         )
         return Program(
             main,

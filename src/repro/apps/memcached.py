@@ -21,15 +21,13 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Dict, Optional
-
-from repro.apps.spec import AppSpec, line_factor, scaled
+from repro.apps.spec import AppSpec
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
 from repro.sim.ops import IO, POP_FRAME, Join, Progress, Spawn, Work, push_frame
 from repro.sim.program import Program
-from repro.sim.source import Scope, SourceLine, line
+from repro.sim.source import Scope, line
 from repro.sim.sync import Channel, SpinMutex
 
 #: the start of item_remove: the lock acquisition Coz flags as contended
@@ -53,21 +51,12 @@ def build_memcached(
     assoc_ns: int = US(1.6),
     refcount_ns: int = US(1.8),
     respond_ns: int = US(1.6),
-    line_speedups: Optional[Dict[SourceLine, float]] = None,
 ) -> AppSpec:
     """Build the memcached benchmark.
 
     ``optimized=True`` removes the striped item lock from ``item_remove``
     and updates the reference count atomically (the paper's fix).
     """
-    ls = line_speedups
-
-    # per-line cost factors, resolved once; the costs themselves are jittered
-    f_parse = line_factor(ls, LINE_PARSE)
-    f_assoc = line_factor(ls, LINE_ASSOC)
-    f_refcount = line_factor(ls, LINE_REFCOUNT)
-    f_respond = line_factor(ls, LINE_RESPOND)
-
     def make(seed: int = 0) -> Program:
         enter_command = push_frame("process_command")
         command_done = Progress(PROGRESS)
@@ -94,11 +83,11 @@ def build_memcached(
                     if key is Channel.CLOSED:
                         break
                     yield enter_command
-                    yield Work(LINE_PARSE, scaled(_jit(wrng, parse_ns), f_parse))
-                    yield Work(LINE_ASSOC, scaled(_jit(wrng, assoc_ns), f_assoc))
+                    yield Work(LINE_PARSE, _jit(wrng, parse_ns))
+                    yield Work(LINE_ASSOC, _jit(wrng, assoc_ns))
                     # item_remove: decrement the item's reference count
                     stripe = stripes[key % n_stripes]
-                    ref_cost = scaled(_jit(wrng, refcount_ns), f_refcount)
+                    ref_cost = _jit(wrng, refcount_ns)
                     if optimized:
                         # atomic decrement; no lock needed (the paper's fix)
                         yield Work(LINE_REFCOUNT, ref_cost)
@@ -106,7 +95,7 @@ def build_memcached(
                         yield from stripe.lock(LINE_ITEM_REMOVE)
                         yield Work(LINE_REFCOUNT, ref_cost)
                         yield from stripe.unlock(LINE_ITEM_REMOVE)
-                    yield Work(LINE_RESPOND, scaled(_jit(wrng, respond_ns), f_respond))
+                    yield Work(LINE_RESPOND, _jit(wrng, respond_ns))
                     yield command_done
                     yield POP_FRAME
 

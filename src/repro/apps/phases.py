@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.apps.spec import line_factor, scaled
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
 from repro.sim.ops import BarrierWait, Join, Op, Progress, Spawn, Work
@@ -34,7 +33,6 @@ def build_phased_main(
     spin_line: SourceLine,
     progress_name: str,
     seed: int,
-    line_speedups: Optional[Dict[SourceLine, float]] = None,
     extra_per_phase: Optional[Op] = None,
     spin_iter_ns: int = US(2),
 ):
@@ -46,8 +44,6 @@ def build_phased_main(
     waits at the barrier.  The serial thread fires the progress point once
     per phase.
     """
-    # per-line cost factors and the progress op, resolved once
-    lines = [(src, line_factor(line_speedups, src)) for src in work_lines]
     n_lines = len(work_lines)
     phase_done = Progress(progress_name)
 
@@ -62,9 +58,8 @@ def build_phased_main(
             wrng = random.Random((seed << 10) ^ wid)
             for _phase in range(n_phases):
                 jitter = 1.0 + imbalance * (2 * wrng.random() - 1.0)
-                for src, factor in lines:
-                    dur = scaled(int(work_ns * jitter / n_lines), factor)
-                    yield Work(src, dur, memory_bound=True)
+                for src in work_lines:
+                    yield Work(src, int(work_ns * jitter / n_lines), memory_bound=True)
                 if extra_per_phase is not None:
                     yield extra_per_phase
                 if barrier_wait is not None:

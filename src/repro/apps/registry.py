@@ -31,11 +31,12 @@ Linux) because workers inherit the registry state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.apps.spec import AppSpec
+from repro.sim.engine import normalize_line_speedups
 
 
 class UnknownAppError(KeyError):
@@ -173,15 +174,29 @@ def build(name: str, optimized: bool = False, **kwargs: Any) -> AppSpec:
     ``build("ferret", n_queries=300)``).  ``optimized=True`` selects the
     app's post-optimization variant and raises :class:`ValueError` for apps
     without one.
+
+    ``line_speedups={line: factor}`` works for every app: it is validated,
+    set as ``SimConfig.line_speedups`` on each program the spec builds, and
+    kept in the ref as sorted pairs for worker rebuilds and fingerprints.
     """
     entry = get(name)
     if optimized and not entry.has_optimized:
         raise ValueError(f"{name} has no optimized variant")
+    speedups = normalize_line_speedups(kwargs.pop("line_speedups", None))
     spec = entry.builder(optimized=True, **kwargs) if optimized else entry.builder(**kwargs)
+    if speedups:
+        spec.build = partial(_build_with_speedups, spec.build, speedups)
+        kwargs["line_speedups"] = speedups
     spec.registry_ref = AppRef(
         name=name, optimized=optimized, kwargs=tuple(sorted(kwargs.items())),
     )
     return spec
+
+
+def _build_with_speedups(build, speedups, seed: int = 0):
+    program = build(seed)
+    program.config = replace(program.config, line_speedups=speedups)
+    return program
 
 
 # -- bundled apps ------------------------------------------------------------------

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.progress import LatencySpec, ProgressPoint
-from repro.sim.engine import SimConfig
 from repro.sim.program import Program
 from repro.sim.source import Scope, SourceLine
 
@@ -29,8 +28,6 @@ class AppSpec:
     lines: Dict[str, SourceLine] = field(default_factory=dict)
     #: latency begin/end pairs, if the app defines any
     latency_specs: List[LatencySpec] = field(default_factory=list)
-    #: machine configuration this app is meant to run on
-    sim_config: Optional[SimConfig] = None
     #: provenance stamp set by :func:`repro.apps.registry.build`: a picklable
     #: :class:`~repro.apps.registry.AppRef` that lets worker processes rebuild
     #: this spec by name (``build`` itself is a closure and does not pickle)
@@ -39,16 +36,3 @@ class AppSpec:
     def line(self, key: str) -> SourceLine:
         return self.lines[key]
 
-
-def scaled(ns: int, factor: float) -> int:
-    """Scale a nominal duration by a line-speedup factor (>=0)."""
-    if factor == 1.0:
-        return ns
-    return max(0, int(round(ns * factor)))
-
-
-def line_factor(line_speedups: Optional[Dict[SourceLine, float]], line: SourceLine) -> float:
-    """Cost multiplier for ``line`` (1.0 = unchanged, 0.5 = 2x faster)."""
-    if not line_speedups:
-        return 1.0
-    return line_speedups.get(line, 1.0)

@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Dict, Optional
-
-from repro.apps.spec import AppSpec, line_factor, scaled
+from repro.apps.spec import AppSpec
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
@@ -67,7 +65,6 @@ def build_sqlite(
     vdbe_ns: int = US(10),
     btree_ns: int = US(10),
     pcache_body_ns: int = US(1.2),
-    line_speedups: Optional[Dict[SourceLine, float]] = None,
 ) -> AppSpec:
     """Build the SQLite insert benchmark.
 
@@ -75,12 +72,11 @@ def build_sqlite(
     (the paper's 7-line change), shrinking the three prologue costs.
     """
     prologue_ns = DIRECT_NS if optimized else INDIRECT_NS
-    ls = line_speedups
 
     def hot(src: SourceLine) -> Work:
         """One call burst to a tiny function: prologue (indirect call) + body.
         The prologue line carries the whole cost — the line Coz identifies."""
-        return Work(src, scaled(prologue_ns, line_factor(ls, src)) + BODY_NS)
+        return Work(src, prologue_ns + BODY_NS)
 
     def make(seed: int = 0) -> Program:
         # every op an insert yields that does not depend on the per-thread

@@ -9,15 +9,15 @@ whose replacement with a lightweight PRNG yielded a further ~2%.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.apps.phases import build_phased_main, phased_sim_config
-from repro.apps.spec import AppSpec, line_factor, scaled
+from repro.apps.spec import AppSpec
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS, US
 from repro.sim.ops import Work
 from repro.sim.program import Program
-from repro.sim.source import Scope, SourceLine, line
+from repro.sim.source import Scope, line
 
 LINE_SPIN = line("parsec_barrier.cpp:163")
 LINE_GAIN = line("streamcluster.cpp:985")   # pgain distance computation
@@ -39,7 +39,6 @@ def build_streamcluster(
     work_ns: int = MS(0.55),
     imbalance: float = 0.45,
     interference_coeff: float = 1.05,
-    line_speedups: Optional[Dict[SourceLine, float]] = None,
 ) -> AppSpec:
     """Build streamcluster.
 
@@ -52,7 +51,7 @@ def build_streamcluster(
     rng_ns = RNG_LIGHT_NS if light_rng else RNG_HEAVY_NS
 
     def make(seed: int = 0) -> Program:
-        rng_call = Work(LINE_RNG, scaled(rng_ns, line_factor(line_speedups, LINE_RNG)))
+        rng_call = Work(LINE_RNG, rng_ns)
         main = build_phased_main(
             n_threads=n_threads,
             n_phases=n_phases,
@@ -63,7 +62,6 @@ def build_streamcluster(
             spin_line=LINE_SPIN,
             progress_name=PROGRESS,
             seed=seed,
-            line_speedups=line_speedups,
             extra_per_phase=rng_call,
         )
         return Program(

@@ -13,15 +13,13 @@ Reordering and the memset replacement gave 15.8% ± 1.10%.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.apps.spec import AppSpec, line_factor, scaled
+from repro.apps.spec import AppSpec
 from repro.core.progress import ProgressPoint
 from repro.sim.clock import MS, US
 from repro.sim.engine import SimConfig
 from repro.sim.ops import Join, Progress, Spawn, Work
 from repro.sim.program import Program
-from repro.sim.source import Scope, SourceLine, line
+from repro.sim.source import Scope, line
 
 LINE_ZERO = line("HJM_SimPath_Forward_Blocking.cpp:72")      # zeroing loop
 LINE_FILL = line("HJM_SimPath_Forward_Blocking.cpp:96")      # RNG fill loop
@@ -45,20 +43,18 @@ def build_swaptions(
     fill_ns: int = US(300),
     traverse_ns: int = US(260),
     price_ns: int = US(1100),
-    line_speedups: Optional[Dict[SourceLine, float]] = None,
 ) -> AppSpec:
     """Build swaptions; ``optimized=True`` applies memset + loop reorder."""
-    ls = line_speedups
     z = int(zero_ns * (ZERO_OPT_FACTOR if optimized else 1.0))
     tr = int(traverse_ns * (TRAVERSE_OPT_FACTOR if optimized else 1.0))
 
     def make(seed: int = 0) -> Program:
         # one iteration's ops are all constant: built once
         iteration = (
-            Work(LINE_ZERO, scaled(z, line_factor(ls, LINE_ZERO))),
-            Work(LINE_FILL, scaled(fill_ns, line_factor(ls, LINE_FILL))),
-            Work(LINE_TRAVERSE, scaled(tr, line_factor(ls, LINE_TRAVERSE))),
-            Work(LINE_PRICE, scaled(price_ns, line_factor(ls, LINE_PRICE))),
+            Work(LINE_ZERO, z),
+            Work(LINE_FILL, fill_ns),
+            Work(LINE_TRAVERSE, tr),
+            Work(LINE_PRICE, price_ns),
             Work(LINE_PROGRESS_SRC, 0),
             Progress(PROGRESS),
         )

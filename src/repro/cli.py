@@ -589,7 +589,18 @@ def main(argv: Optional[list] = None) -> int:
     p.set_defaults(fn=cmd_doctor)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader went away (``... --json | head``): exit quietly, with
+        # stdout on /dev/null so the interpreter's final flush cannot raise
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # stdout is not a file descriptor (an in-process caller)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ realized end-to-end speedup:
   observed 8.95%.
 
 :func:`accuracy_study` does the same on the simulator: profile the app with
-a focused (fixed-line) configuration, actually speed the line up via the
-app's ``line_speedups`` knob, and report predicted vs realized.
+a focused (fixed-line) configuration, actually speed the line up through
+the engine's ``SimConfig.line_speedups``, and report predicted vs realized.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from repro.core.analysis import predict_program_speedup
 from repro.core.config import CozConfig
 from repro.core.profile_data import LineProfile
 from repro.harness.runner import profile_app
+from repro.sim.engine import normalize_line_speedups
+from repro.sim.program import Program
 from repro.sim.source import SourceLine
 
 
@@ -54,7 +56,6 @@ class AccuracyResult:
 
 def accuracy_study(
     spec: AppSpec,
-    optimized_spec: AppSpec,
     line: SourceLine,
     line_speedup_pct: float,
     coz_config: Optional[CozConfig] = None,
@@ -62,12 +63,14 @@ def accuracy_study(
     timing_runs: int = 5,
     base_seed: int = 0,
 ) -> AccuracyResult:
-    """Profile ``line`` on the original app, then realize the optimization.
+    """Profile ``line`` on ``spec``, then realize the optimization.
 
-    ``optimized_spec`` must be the same app built with the line actually
-    sped up by ``line_speedup_pct`` (via ``line_speedups`` or the app's own
-    optimized variant).
+    The realized runs are ``spec``'s programs with ``line``'s costs scaled
+    by ``1 - line_speedup_pct / 100`` through ``SimConfig.line_speedups``,
+    on top of any line speedups the spec already carries.
     """
+    # validated here, before profiling: a percentage over 100 is rejected
+    sped_up = normalize_line_speedups({line: 1.0 - line_speedup_pct / 100.0})
     coz_config = coz_config or CozConfig()
     coz_config = replace(
         coz_config,
@@ -85,7 +88,7 @@ def accuracy_study(
         spec.build(base_seed + i).run().runtime_ns for i in range(timing_runs)
     )
     opt = mean(
-        optimized_spec.build(base_seed + i).run().runtime_ns
+        _runtime_with(spec.build(base_seed + i), sped_up)
         for i in range(timing_runs)
     )
     realized = (base - opt) / base
@@ -97,3 +100,8 @@ def accuracy_study(
         realized=realized,
         profile=profile,
     )
+
+
+def _runtime_with(program: Program, speedups) -> int:
+    speedups = {**dict(program.config.line_speedups), **dict(speedups)}
+    return program.run(config=replace(program.config, line_speedups=speedups)).runtime_ns

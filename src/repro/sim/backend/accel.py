@@ -2,8 +2,9 @@
 
 The compiled loop covers the configurations the benchmarks and profile
 sessions actually run: no passive observers (their ``on_work``/``on_block``
-fan-out lives in Python), no fault injection, and no interference model
-(so every chunk's rate is exactly 1.0).  Anything else silently falls back
+fan-out lives in Python), no fault injection, no interference model (so
+every chunk's rate is exactly 1.0), and no ``SimConfig.line_speedups``
+(unprofiled ground-truth timing runs).  Anything else silently falls back
 to the pure loop *for that run* — selection is per ``event_loop`` call, so
 one parallel session can mix accel program runs with pure observed runs
 and still be bit-identical throughout (the golden-trace matrix pins this).
@@ -54,6 +55,7 @@ def eligible(engine) -> bool:
         not engine.observers
         and engine._faults is None
         and engine.cfg.interference_coeff == 0.0
+        and engine._line_speedups is None
     )
 
 

@@ -194,12 +194,33 @@ class SimConfig:
     #: deterministic fault injection (:mod:`repro.sim.faults`); ``None``
     #: disables every injection path at zero hot-loop cost
     faults: Optional[FaultPlan] = None
+    #: ground truth for §4.3: ``{line: factor}`` (kept as sorted pairs)
+    #: scales each ``Work`` as it starts, by the innermost factor among its
+    #: line, then its thread's frame callsites (0.5 = twice as fast)
+    line_speedups: Tuple[Tuple[SourceLine, float], ...] = ()
     #: engine execution backend: ``"pure"``, ``"accel"``, or ``None`` for
     #: the process default (``REPRO_ENGINE_BACKEND`` env, else accel when
     #: the compiled core is built).  Execution-only — results are
     #: bit-identical either way — so it is excluded from ``repr`` and
     #: thereby from every canonical session/checkpoint fingerprint.
     backend: Optional[str] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        self.line_speedups = normalize_line_speedups(self.line_speedups)
+
+
+def normalize_line_speedups(speedups) -> Tuple[Tuple[SourceLine, float], ...]:
+    """A ``{line: factor}`` mapping or pairs as pairs sorted by line, so
+    equal maps hash and fingerprint alike whatever their build order.
+    Raises ``ValueError`` for a negative, NaN or infinite factor."""
+    speedups = dict(speedups or ())
+    for src, factor in speedups.items():
+        if not isinstance(src, SourceLine):
+            raise TypeError(f"line_speedups keys must be SourceLines, got {src!r}")
+        if not 0.0 <= factor < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"line speedup factor for {src} must be finite and >= 0, "
+                             f"got {factor!r}")
+    return tuple(sorted((src, float(f)) for src, f in speedups.items()))
 
 
 class Engine:
@@ -244,6 +265,8 @@ class Engine:
         self._sampling_live = False
         self._call_overhead_ns = 0
         self._coalesce = bool(self.cfg.coalesce)
+        #: SimConfig.line_speedups as a dict; None (no lookups) when empty
+        self._line_speedups = dict(self.cfg.line_speedups) or None
         # fault injection: built once per run from (plan seed, run seed), so
         # the injector's RNG stream is disjoint from the engine's and a
         # faulted schedule reproduces exactly
@@ -912,6 +935,7 @@ class Engine:
         """
         table = self._op_table
         oplog = self._oplog
+        speedups = self._line_speedups
         while True:
             sv = t.send_value
             try:
@@ -952,7 +976,9 @@ class Engine:
                     t.activity_line = line
                     t.chain_cache = None
                 t.activity_memory_bound = op.memory_bound
-                t.activity_remaining = op.duration
+                t.activity_remaining = (
+                    op.duration if speedups is None else self._work_duration(t, op)
+                )
                 return
             # frame markers are the next most common ops: with no observer
             # to notify (and so no call overhead to charge) they change only
@@ -1015,15 +1041,8 @@ class Engine:
                     t.continuation = (self._setup_op_body, op)
                     return
         # inlined _setup_op_body (hot path: one call per op) — keep in sync
-        if action is None:  # Work: activity fields set directly, no cost op
-            line = op.line
-            if line in self._line_watchers and self.hook is not None:
-                self.hook.on_line_visit(t, line)
-            if line is not t.activity_line:
-                t.activity_line = line
-                t.chain_cache = None
-            t.activity_memory_bound = op.memory_bound
-            t.activity_remaining = op.duration
+        if action is None:  # a Work subclass: activity fields, no cost op
+            self._setup_work(t, op)
             return
         if cost > 0:
             line = getattr(op, "line", None)
@@ -1043,15 +1062,8 @@ class Engine:
         if plan is None:
             plan = self._resolve_op_plan(t, op)
         cost, action, _blocking, _waking = plan
-        if action is None:  # Work: activity fields set directly, no cost op
-            line = op.line
-            if line in self._line_watchers and self.hook is not None:
-                self.hook.on_line_visit(t, line)
-            if line is not t.activity_line:
-                t.activity_line = line
-                t.chain_cache = None
-            t.activity_memory_bound = op.memory_bound
-            t.activity_remaining = op.duration
+        if action is None:  # a Work subclass: activity fields, no cost op
+            self._setup_work(t, op)
             return
         if cost > 0:
             line = getattr(op, "line", None)
@@ -1065,6 +1077,27 @@ class Engine:
             t.continuation = (action, op)
         else:
             action(t, op)
+
+    def _setup_work(self, t: VThread, op: O.Work) -> None:
+        """Start a ``Work`` subclass (``_advance`` inlines this -- keep in sync)."""
+        line = op.line
+        if line in self._line_watchers and self.hook is not None:
+            self.hook.on_line_visit(t, line)
+        if line is not t.activity_line:
+            t.activity_line = line
+            t.chain_cache = None
+        t.activity_memory_bound = op.memory_bound
+        t.activity_remaining = (
+            op.duration if self._line_speedups is None else self._work_duration(t, op)
+        )
+
+    def _work_duration(self, t: VThread, op: O.Work) -> int:
+        """``op``'s duration under ``SimConfig.line_speedups``: scaled by the
+        factor of ``op.line``, else of the innermost frame callsite with one."""
+        speedups = self._line_speedups
+        keys = (op.line, *(frame.callsite for frame in reversed(t.stack)))
+        factor = next((speedups[k] for k in keys if k in speedups), None)
+        return op.duration if factor is None else max(0, round(op.duration * factor))
 
     def _resolve_op_plan(self, t: VThread, op: O.Op):
         """Slow path: resolve op subclasses through the MRO, then memoize."""

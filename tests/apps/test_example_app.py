@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import registry
 from repro.apps.example import (
     A_NS,
     B_NS,
@@ -31,10 +32,12 @@ def test_ground_truth_helpers():
 def test_line_speedups_change_real_runtime():
     base = build_example(rounds=20).build(0).run().runtime_ns
     # eliminating a(): b becomes the critical path
-    opt_a = build_example(rounds=20, line_speedups={LINE_A: 0.0}).build(0).run().runtime_ns
+    opt_a = registry.build("example", rounds=20, line_speedups={LINE_A: 0.0})
+    opt_a = opt_a.build(0).run().runtime_ns
     assert (base - opt_a) / base == pytest.approx(optimal_speedup_fraction(), abs=0.01)
     # eliminating b(): no effect
-    opt_b = build_example(rounds=20, line_speedups={LINE_B: 0.0}).build(0).run().runtime_ns
+    opt_b = registry.build("example", rounds=20, line_speedups={LINE_B: 0.0})
+    opt_b = opt_b.build(0).run().runtime_ns
     assert (base - opt_b) / base == pytest.approx(0.0, abs=0.01)
 
 

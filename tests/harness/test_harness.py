@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import registry
 from repro.apps.example import LINE_A, build_example, optimal_speedup_fraction
 from repro.apps.swaptions import LINE_ZERO, build_swaptions
 from repro.core.config import CozConfig
@@ -69,7 +70,7 @@ def test_measure_runtimes_short_journal_resumed_with_more_runs(
 
 def test_compare_builds_detects_real_speedup():
     base = build_example(rounds=8)
-    opt = build_example(rounds=8, line_speedups={LINE_A: 0.0})
+    opt = registry.build("example", rounds=8, line_speedups={LINE_A: 0.0})
     cmp_result = compare_builds("example", base.build, opt.build, runs=4)
     assert cmp_result.speedup_pct == pytest.approx(
         100 * optimal_speedup_fraction(), abs=1.0
@@ -98,13 +99,12 @@ def test_overhead_breakdown_components_nonnegative():
 def test_accuracy_study_on_swaptions_zero_loop():
     """Focused §4.3-style check: prediction ~ realized for a simple line."""
     spec = build_swaptions(False, n_iters=250)
-    optimized = build_swaptions(False, n_iters=250, line_speedups={LINE_ZERO: 0.1})
     cfg = CozConfig(
         experiment_duration_ns=MS(25),
         speedup_schedule=[0, 90],
     )
     res = accuracy_study(
-        spec, optimized, LINE_ZERO, line_speedup_pct=90,
+        spec, LINE_ZERO, line_speedup_pct=90,
         coz_config=cfg, profile_runs=4, timing_runs=2,
     )
     assert res.realized == pytest.approx(0.089, abs=0.01)  # 162/1840
@@ -115,7 +115,7 @@ def test_accuracy_study_on_swaptions_zero_loop():
 
 def test_render_tables_smoke():
     base = build_example(rounds=5)
-    opt = build_example(rounds=5, line_speedups={LINE_A: 0.5})
+    opt = registry.build("example", rounds=5, line_speedups={LINE_A: 0.5})
     cmp_result = compare_builds("example", base.build, opt.build, runs=2)
     out = render_table3([cmp_result])
     assert "example" in out and "Speedup" in out
@@ -139,6 +139,31 @@ def test_cli_list_and_profile(capsys):
     out = capsys.readouterr().out
     assert "Causal profile" in out
     assert "example.cpp" in out
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away (``coz-sim ... | head``)."""
+
+    def __init__(self, fail_on):
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+def test_cli_exits_quietly_on_a_closed_pipe(monkeypatch, capsys, fail_on):
+    from repro.cli import main
+
+    monkeypatch.setattr("sys.stdout", _ClosedPipe(fail_on))
+    assert main(["list"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_compare(capsys):
