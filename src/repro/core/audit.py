@@ -407,26 +407,6 @@ def run_doctor(
         ),
     ))
 
-    # binary wire (repro.core.binwire): the compact columnar encoding must
-    # be a lossless involution — decode(encode(data)) renders the same
-    # JSON bytes as data itself
-    from repro.core.profile_data import ProfileData as _PD
-
-    wire_json = serial.data.to_json()
-    try:
-        decoded_json = _PD.from_bytes(serial.data.to_bytes()).to_json()
-        wire_ok = decoded_json == wire_json
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except Exception:
-        wire_ok = False
-    report.add(_check(
-        "binary-wire-identity",
-        wire_ok,
-        detail="ProfileData.from_bytes(to_bytes()) does not reproduce the "
-               "JSON wire byte-for-byte",
-    ))
-
     # checkpoint/resume: journal a session, stop it midway, resume it, and
     # demand bit-identity with the uninterrupted serial session
     import os

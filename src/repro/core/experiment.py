@@ -11,9 +11,9 @@ and the per-progress-point visit deltas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.sim.source import SourceLine, intern_line
+from repro.sim.source import SourceLine
 
 
 @dataclass
@@ -84,19 +84,14 @@ class ExperimentResult:
 
     # -- wire format (cross-process result transfer) -------------------------------
 
-    def to_dict(self, lines: Optional[Dict[SourceLine, int]] = None) -> Dict[str, Any]:
+    def to_dict(self, lines: Dict[SourceLine, int]) -> Dict[str, Any]:
         """JSON-safe dict; every field is an int, str, or str-keyed dict.
 
-        With ``lines`` (a shared SourceLine -> index intern table owned by
-        the enclosing document), ``"line"`` is an index into that table;
-        without it, the inline ``[file, lineno]`` pair of wire version 1.
+        ``"line"`` is an index into ``lines``, the SourceLine -> index
+        intern table owned by the enclosing document.
         """
-        if lines is None:
-            line_key: Any = [self.line.file, self.line.lineno]
-        else:
-            line_key = lines.setdefault(self.line, len(lines))
         return {
-            "line": line_key,
+            "line": lines.setdefault(self.line, len(lines)),
             "speedup_pct": self.speedup_pct,
             "delay_ns": self.delay_ns,
             "start_ns": self.start_ns,
@@ -109,17 +104,9 @@ class ExperimentResult:
         }
 
     @classmethod
-    def from_dict(
-        cls, d: Dict[str, Any], lines: Optional[list] = None
-    ) -> "ExperimentResult":
-        key = d["line"]
-        if isinstance(key, int):  # wire v2: index into the document's table
-            line = lines[key]  # type: ignore[index]
-        else:  # wire v1: inline [file, lineno]
-            file, lineno = key
-            line = intern_line(file, lineno)
+    def from_dict(cls, d: Dict[str, Any], lines: List[SourceLine]) -> "ExperimentResult":
         return cls(
-            line=line,
+            line=lines[d["line"]],
             speedup_pct=d["speedup_pct"],
             delay_ns=d["delay_ns"],
             start_ns=d["start_ns"],

@@ -45,38 +45,23 @@ class RunInfo:
     def effective_ns(self) -> int:
         return self.runtime_ns - self.total_delay_ns
 
-    def to_dict(self, lines: Optional[Dict[SourceLine, int]] = None) -> Dict[str, Any]:
-        """JSON-safe dict.
-
-        With ``lines`` (the document's shared SourceLine -> index intern
-        table), line samples are ``[index, count]`` pairs; without it, the
-        inline ``[file, lineno, count]`` triples of wire version 1.
-        """
-        if lines is None:
-            samples = [
-                [src.file, src.lineno, n] for src, n in sorted(self.line_samples.items())
-            ]
-        else:
-            samples = [
-                [lines.setdefault(src, len(lines)), n]
-                for src, n in sorted(self.line_samples.items())
-            ]
+    def to_dict(self, lines: Dict[SourceLine, int]) -> Dict[str, Any]:
+        """JSON-safe dict; line samples are ``[index, count]`` pairs keyed
+        by ``lines``, the document's shared SourceLine -> index table."""
         return {
             "runtime_ns": self.runtime_ns,
             "total_delay_ns": self.total_delay_ns,
-            "line_samples": samples,
+            "line_samples": [
+                [lines.setdefault(src, len(lines)), n]
+                for src, n in sorted(self.line_samples.items())
+            ],
         }
 
     @classmethod
-    def from_dict(cls, d: Dict[str, Any], lines: Optional[List] = None) -> "RunInfo":
+    def from_dict(cls, d: Dict[str, Any], lines: List[SourceLine]) -> "RunInfo":
         info = cls(runtime_ns=d["runtime_ns"], total_delay_ns=d["total_delay_ns"])
-        for entry in d["line_samples"]:
-            if len(entry) == 2:  # wire v2: [index, count]
-                idx, n = entry
-                info.line_samples[lines[idx]] = n  # type: ignore[index]
-            else:  # wire v1: [file, lineno, count]
-                file, lineno, n = entry
-                info.line_samples[intern_line(file, lineno)] = n
+        for idx, n in d["line_samples"]:
+            info.line_samples[lines[idx]] = n
         return info
 
 
@@ -199,9 +184,10 @@ class ProfileData:
     # runs), with experiments' ``"line"`` and runs' ``"line_samples"`` keyed
     # by index.  A session profiles a handful of lines across hundreds of
     # experiments, so the table collapses the dominant repeated strings in
-    # the payload workers ship back.  ``from_json`` still accepts version 1
-    # (inline pairs) — journals and on-disk profiles recorded before the
-    # table existed stay readable.
+    # the payload workers ship back.
+    #
+    # The document is the only codec: :meth:`to_bytes` is its UTF-8
+    # encoding, which is what pool workers ship home.
 
     WIRE_VERSION = 2
 
@@ -224,12 +210,12 @@ class ProfileData:
 
     @classmethod
     def from_json(cls, text: str) -> "ProfileData":
-        """Rebuild from :meth:`to_json` output (wire version 1 or 2)."""
+        """Rebuild from :meth:`to_json` output."""
         doc = json.loads(text)
         version = doc.get("version")
-        if version not in (1, cls.WIRE_VERSION):
+        if version != cls.WIRE_VERSION:
             raise ValueError(f"unsupported ProfileData wire version: {version!r}")
-        table = [intern_line(file, lineno) for file, lineno in doc.get("lines", [])]
+        table = [intern_line(file, lineno) for file, lineno in doc["lines"]]
         data = cls()
         for ed in doc["experiments"]:
             data.add_experiment(ExperimentResult.from_dict(ed, table))
@@ -240,22 +226,13 @@ class ProfileData:
         return data
 
     def to_bytes(self) -> bytes:
-        """Serialize to the binary columnar wire (:mod:`repro.core.binwire`).
-
-        The compact counterpart of :meth:`to_json` — same document, packed
-        integer columns instead of text.  ``from_bytes(to_bytes(d)).to_json()``
-        is byte-identical to ``d.to_json()``.
-        """
-        from repro.core import binwire
-
-        return binwire.encode_profile(self)
+        """The :meth:`to_json` document as UTF-8 bytes."""
+        return self.to_json().encode("utf-8")
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ProfileData":
         """Rebuild from :meth:`to_bytes` output."""
-        from repro.core import binwire
-
-        return binwire.decode_profile(blob)
+        return cls.from_json(blob.decode("utf-8"))
 
     # -- whole-run totals ----------------------------------------------------------
 

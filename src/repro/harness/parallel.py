@@ -174,9 +174,6 @@ class Watchdog:
             return self._walls[mid]
         return (self._walls[mid - 1] + self._walls[mid]) / 2.0
 
-    def deadline_s(self) -> float:
-        return self.deadline_for(1)
-
     def deadline_for(self, n_runs: int) -> float:
         """Deadline for a wait covering ``n_runs`` batched runs."""
         if len(self._walls) < self.min_samples:
@@ -224,7 +221,7 @@ class RunTask:
 @dataclass
 class RunOutput:
     """Result of one task: a run summary plus (for profiled runs) the
-    profiler's data in the :meth:`ProfileData.to_json` wire format.
+    profiler's data in the :meth:`ProfileData.to_bytes` wire format.
 
     A task that failed deterministically carries a ``failure`` record
     (:meth:`RunFailure.to_dict` wire form) instead of run data.
@@ -233,10 +230,8 @@ class RunOutput:
     index: int
     seed: int
     run: Dict[str, Any] = field(default_factory=dict)
-    data_json: Optional[str] = None
-    #: binary columnar profile wire (:mod:`repro.core.binwire`) — what pool
-    #: workers ship since the JSON wire became the debug/journal view; at
-    #: most one of ``data_json`` / ``data_bin`` is set
+    #: the profile document as bytes: what a pool worker ships home and
+    #: what a journal replay restores
     data_bin: Optional[bytes] = field(default=None, repr=False)
     #: per-run invariant audit (wire format), when the config asked for one
     audit_json: Optional[str] = None
@@ -262,11 +257,9 @@ class RunOutput:
     def profile_data(self) -> Optional[ProfileData]:
         if self._data is not None:
             return self._data
-        if self.data_bin is not None:
-            return ProfileData.from_bytes(self.data_bin)
-        if self.data_json is None:
+        if self.data_bin is None:
             return None
-        return ProfileData.from_json(self.data_json)
+        return ProfileData.from_bytes(self.data_bin)
 
     def run_result(self) -> Optional[RunResult]:
         if self._run_result is not None:

@@ -136,7 +136,7 @@ def _output_from_record(rec: JournalRecord) -> RunOutput:
         index=rec.index,
         seed=rec.seed,
         run=rec.run or {},
-        data_json=json.dumps(rec.data) if rec.data is not None else None,
+        data_bin=json.dumps(rec.data).encode("utf-8") if rec.data is not None else None,
         audit_json=json.dumps(rec.audit) if rec.audit is not None else None,
     )
 
@@ -144,8 +144,9 @@ def _output_from_record(rec: JournalRecord) -> RunOutput:
 def output_wire_parts(out: RunOutput):
     """(data_json, audit_json) for journaling, serializing live objects
     when the output came from an in-process execution."""
-    data_json = out.data_json
-    if data_json is None:
+    if out.data_bin is not None:
+        data_json = out.data_bin.decode("utf-8")
+    else:
         data = out.profile_data()
         data_json = data.to_json() if data is not None else None
     audit_json = out.audit_json

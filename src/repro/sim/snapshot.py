@@ -65,6 +65,7 @@ from repro.sim.engine import (
     SimConfig,
     SimulationError,
 )
+from repro.sim.source import SourceLine
 from repro.sim.sync import Barrier, CondVar, Mutex, Semaphore
 from repro.sim.thread import Frame, ThreadState, VThread
 from repro.storage import frame, unframe
@@ -79,7 +80,7 @@ __all__ = [
 ]
 
 #: bump whenever the capture layout changes; restore refuses other versions
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 #: first checkpoint-grid point (virtual ns)
 DEFAULT_GRID_FIRST_NS = MS(10)
@@ -137,6 +138,8 @@ class EngineSnapshot:
     engine: Dict[str, Any]        # engine scalars + RNG state
     faults: Optional[dict]        # fault-injector overlay (None if no plan)
     hook: Optional[Any]           # profiler hook's own snapshot_state()
+    #: SimConfig.line_speedups of the recorded run; restore demands equal
+    line_speedups: Tuple[Tuple[SourceLine, float], ...] = ()
 
     #: byte-container magic (versioned separately from SNAPSHOT_VERSION:
     #: the container wraps whatever snapshot layout is current)
@@ -310,6 +313,7 @@ class Recorder:
             engine=self._engine_state(engine),
             faults=self._fault_state(engine),
             hook=engine.hook.snapshot_state() if engine.hook is not None else None,
+            line_speedups=engine.cfg.line_speedups,
         )
 
     def _descr_value(self, v: Any, engine: Engine) -> Any:
@@ -462,6 +466,11 @@ def restore(
     if cfg.seed != snapshot.seed:
         raise SnapshotError(
             f"snapshot was taken with seed {snapshot.seed}, config has {cfg.seed}"
+        )
+    if cfg.line_speedups != snapshot.line_speedups:
+        raise SnapshotError(
+            f"snapshot was taken with line_speedups {snapshot.line_speedups}, "
+            f"config has {cfg.line_speedups}"
         )
     if (snapshot.hook is None) != (hook is None):
         raise SnapshotError("snapshot/hook presence mismatch")

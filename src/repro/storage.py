@@ -1,11 +1,11 @@
 """Every durable or cross-process byte discipline, one primitive each.
 
-:func:`frame`/:func:`unframe` are the versioned container header (the
-``RPDB`` profile wire and ``RSNP`` snapshots); :func:`write_once` is the
-atomic content-addressed file write; :class:`AppendLog` is the fsync'd
-JSONL log that replays exactly; :class:`LRU` is the memory tier in front
-of the on-disk stores.  Nothing here imports :mod:`repro`, so the
-simulator, the core and the harness can all build on it.
+:func:`frame`/:func:`unframe` are the versioned container header of
+``RSNP`` snapshots; :func:`write_once` is the atomic content-addressed
+file write; :class:`AppendLog` is the fsync'd JSONL log that replays
+exactly; :class:`LRU` is the memory tier in front of the on-disk stores.
+Nothing here imports :mod:`repro`, so the simulator, the core and the
+harness can all build on it.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 from repro.core.experiment import ExperimentResult
 from repro.core.profile_data import (
     ProfileData,
+    RunFailure,
     RunInfo,
     build_causal_profile,
     build_line_profile,
@@ -18,6 +19,9 @@ from repro.stats.bootstrap import bootstrap_pair_se
 
 L = line("x.c:1")
 L2 = line("x.c:2")
+A1 = line("alpha.c:10")
+A2 = line("alpha.c:999")
+B7 = line("beta.c:7")
 
 
 def exp(src, pct, visits, eff_ms, delay_count=0, delay_ns=0, s_obs=10, start=0):
@@ -194,9 +198,9 @@ def test_from_json_rejects_unknown_wire_version():
         ProfileData.from_json(doc)
 
 
-def test_from_json_accepts_wire_version_1():
-    # documents recorded before the interned line table (journals, on-disk
-    # profiles) carry inline [file, lineno] pairs and no "lines" table
+def test_from_json_rejects_wire_version_1():
+    # the pre-table layout (inline [file, lineno] pairs, no "lines") is
+    # not read: every writer has emitted version 2 since the table came in
     import json
 
     d = data_with([exp(L, 0, 10, 10), exp(L2, 0, 5, 10)], line_samples={L: 7})
@@ -207,7 +211,85 @@ def test_from_json_accepts_wire_version_1():
         e["line"] = table[e["line"]]
     for r in doc["runs"]:
         r["line_samples"] = [table[i] + [n] for i, n in r["line_samples"]]
-    assert ProfileData.from_json(json.dumps(doc)) == d
+    with pytest.raises(ValueError, match="unsupported ProfileData wire version: 1"):
+        ProfileData.from_json(json.dumps(doc))
+
+
+def test_from_bytes_rejects_garbage():
+    with pytest.raises(ValueError):
+        ProfileData.from_bytes(b"definitely not a profile document")
+    with pytest.raises(ValueError):
+        ProfileData.from_bytes(b"\xff\xfe not UTF-8")
+
+
+def multi_file_data():
+    """Experiments and runs over three lines in two files."""
+    d = data_with(
+        [exp(A1, 0, 5, 10, delay_count=3, delay_ns=1000),
+         exp(A1, 50, 5, 10, start=MS(20)),
+         exp(A2, 25, 5, 10, start=MS(40))],
+        line_samples={A2: 40, A1: 120},
+    )
+    run = RunInfo(runtime_ns=MS(990), total_delay_ns=0)
+    run.line_samples.update({B7: 9})
+    d.add_run(run)
+    return d
+
+
+def assert_wire_identity(data):
+    decoded = ProfileData.from_bytes(data.to_bytes())
+    assert decoded.to_json() == data.to_json()
+    assert decoded == data
+
+
+def test_to_bytes_is_the_json_document():
+    d = multi_file_data()
+    assert d.to_bytes() == d.to_json().encode()
+    assert_wire_identity(d)
+
+
+def test_round_trip_empty_profile():
+    assert_wire_identity(ProfileData())
+
+
+def test_round_trip_with_failures():
+    import json
+
+    d = multi_file_data()
+    d.add_failure(RunFailure(
+        index=2, seed=7, error_type="ThreadCrashFault",
+        message="injected crash on thread 3", virtual_ns=MS(12), attempts=2,
+    ))
+    d.add_failure(RunFailure(index=3, seed=8, error_type="WorkerHungError", message=""))
+    assert "failures" in json.loads(d.to_json())  # degraded sessions keep them
+    assert_wire_identity(d)
+
+
+def test_round_trip_huge_ints():
+    # counters past 64 bits survive: JSON integers are unbounded
+    d = multi_file_data()
+    run = RunInfo(runtime_ns=2 ** 67, total_delay_ns=0)
+    run.line_samples.update({A1: 2 ** 70})
+    d.add_run(run)
+    assert_wire_identity(d)
+
+
+def test_interned_indices_do_not_leak_across_documents():
+    # each document's line table is local (indices dense from 0, first-
+    # encounter order), whatever another document or the process-global
+    # intern table saw first
+    import json
+
+    a = multi_file_data()
+    b = ProfileData()
+    b.add_experiment(exp(B7, 0, 5, 10))
+    b.add_experiment(exp(A1, 75, 5, 10, start=MS(30)))
+    a.to_bytes()  # a's lines first
+    doc_b = json.loads(b.to_json())
+    assert doc_b["lines"] == [["beta.c", 7], ["alpha.c", 10]]
+    assert [e["line"] for e in doc_b["experiments"]] == [0, 1]
+    assert_wire_identity(b)
+    assert_wire_identity(a)
 
 
 def test_wire_v2_interns_lines_in_shared_table():

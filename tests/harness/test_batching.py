@@ -251,6 +251,35 @@ def test_cached_build_memoizes_and_invalidates():
 #: a shipped ferret snapshot is about 240 KB/run)
 DISPATCH_BYTES_PER_RUN_BUDGET = 2048
 
+#: pickled bytes a warm pool session may ship home per run: the run
+#: summary and the profile document, never a live object or a snapshot
+#: (about 3.3 KB/run today; a snapshot riding home is about 240 KB/run)
+RETURN_BYTES_PER_RUN_BUDGET = 8192
+
+RUNS = 20
+
+
+def _warm_ferret_session(monkeypatch, measuring_submit):
+    """A cold serial 20-run ferret session fills the checkpoint cache; a
+    warm ``jobs=2`` session then runs with ``measuring_submit`` patched
+    over the pool's batch submit.  Asserts the two profiles are equal."""
+    from repro.harness.checkpoint import clear_memory_cache
+
+    clear_memory_cache()
+    try:
+        cold = run_profile_session(
+            registry.build("ferret"),
+            ProfileRequest(runs=RUNS, execution=ExecutionConfig(jobs=1)),
+        )
+        monkeypatch.setattr(parallel._PoolSession, "submit", measuring_submit)
+        warm = run_profile_session(
+            registry.build("ferret"),
+            ProfileRequest(runs=RUNS, execution=ExecutionConfig(jobs=2)),
+        )
+    finally:
+        clear_memory_cache()
+    assert warm.data == cold.data
+
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -261,9 +290,6 @@ def test_warm_dispatch_payload_within_budget(monkeypatch):
     cached snapshot, not the snapshot: the bytes handed to the pool are
     a counter, the same on any machine.  The batch count is not gated;
     it depends on the usable cores."""
-    from repro.harness.checkpoint import clear_memory_cache
-
-    runs = 20
     shipped = []
     real_submit = parallel._PoolSession.submit
 
@@ -272,23 +298,34 @@ def test_warm_dispatch_payload_within_budget(monkeypatch):
         shipped.append(len(pickle.dumps(wired)))
         return real_submit(self, batch)
 
-    clear_memory_cache()
-    try:
-        cold = run_profile_session(
-            registry.build("ferret"),
-            ProfileRequest(runs=runs, execution=ExecutionConfig(jobs=1)),
-        )
-        monkeypatch.setattr(parallel._PoolSession, "submit", measuring_submit)
-        warm = run_profile_session(
-            registry.build("ferret"),
-            ProfileRequest(runs=runs, execution=ExecutionConfig(jobs=2)),
-        )
-    finally:
-        clear_memory_cache()
-    assert warm.data == cold.data
+    _warm_ferret_session(monkeypatch, measuring_submit)
     assert shipped, "the warm session never dispatched to the pool"
-    per_run = sum(shipped) / runs
+    per_run = sum(shipped) / RUNS
     assert per_run <= DISPATCH_BYTES_PER_RUN_BUDGET, (
         f"{per_run:,.0f} B/run shipped to pool workers "
         f"(budget {DISPATCH_BYTES_PER_RUN_BUDGET} B/run)"
+    )
+
+
+def test_warm_return_payload_within_budget(monkeypatch):
+    """The return direction of the same session: each ``RunOutput`` a
+    worker ships home carries the run summary and the profile document
+    as bytes.  Counted as pickled bytes, the same on any machine."""
+    returned = []
+    real_submit = parallel._PoolSession.submit
+
+    def count_outputs(future):
+        if future.exception() is None:
+            returned.extend(len(pickle.dumps(out)) for out in future.result())
+
+    def measuring_submit(self, batch):
+        real_submit(self, batch)
+        self.futures[batch.bid].add_done_callback(count_outputs)
+
+    _warm_ferret_session(monkeypatch, measuring_submit)
+    assert len(returned) == RUNS, "not every run came home from the pool"
+    per_run = sum(returned) / RUNS
+    assert per_run <= RETURN_BYTES_PER_RUN_BUDGET, (
+        f"{per_run:,.0f} B/run shipped home from pool workers "
+        f"(budget {RETURN_BYTES_PER_RUN_BUDGET} B/run)"
     )

@@ -22,7 +22,7 @@ from repro.sim import MS, Join, Program, SimConfig, Spawn, Work, line
 from repro.sim.backend import accel
 from repro.sim.engine import Engine
 from repro.sim.ops import POP_FRAME, push_frame
-from repro.sim.snapshot import Recorder
+from repro.sim.snapshot import Recorder, SnapshotError
 from repro.sim.trace import TraceHasher
 
 LIB = line("lib.c:7")
@@ -129,6 +129,23 @@ def test_resume_under_the_knob_equals_a_cold_run():
             cold.runtime_ns, cold.delay_ns, cold.sample_count,
         )
         assert warm_prof.data.to_json() == prof.data.to_json()
+
+
+def test_resume_refuses_a_snapshot_taken_under_another_knob():
+    # the snapshot's prefix already ran at the knob's speed: finishing it
+    # without the knob gives neither run's answer, so restore must refuse
+    seed = 3
+    fast = registry.build("example", rounds=12, line_speedups={LINE_A: 0.5})
+    plain = registry.build("example", rounds=12)
+    recorder = Recorder(grid=[MS(20)])
+    fast.build(seed).run(hook=_profiled(fast, seed), recorder=recorder)
+    (snap,) = recorder.snapshots
+    with pytest.raises(SnapshotError, match="line_speedups"):
+        plain.build(seed).resume(snap, hook=_profiled(plain, seed))
+    recorder = Recorder(grid=[MS(20)])
+    plain.build(seed).run(hook=_profiled(plain, seed), recorder=recorder)
+    with pytest.raises(SnapshotError, match="line_speedups"):
+        fast.build(seed).resume(recorder.snapshots[0], hook=_profiled(fast, seed))
 
 
 def test_checkpoint_fingerprint_follows_the_map_not_its_order():
