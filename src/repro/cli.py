@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -370,6 +371,34 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
+def _count_arg(value: str) -> int:
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return count
+
+
+def _probability_arg(value: str) -> float:
+    p = float(value)
+    if not 0.0 <= p <= 1.0:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError("must be a probability in [0, 1]")
+    return p
+
+
+def _experiment_ms_arg(value: str) -> float:
+    ms = float(value)
+    if not (math.isfinite(ms) and MS(ms) >= 1):
+        raise argparse.ArgumentTypeError("must be a finite duration of at least 1 ns")
+    return ms
+
+
+def _speedup_step_arg(value: str) -> int:
+    step = int(value)
+    if not 1 <= step <= 100:
+        raise argparse.ArgumentTypeError("must be between 1 and 100 (percent)")
+    return step
+
+
 def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs", type=_jobs_arg, default=0, metavar="N",
@@ -388,7 +417,7 @@ def _add_audit_flag(p: argparse.ArgumentParser) -> None:
 
 def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--chaos", type=float, nargs="?", const=0.25, default=None,
+        "--chaos", type=_probability_arg, nargs="?", const=0.25, default=None,
         metavar="INTENSITY",
         help="inject the deterministic fault matrix at this per-run "
              "probability (bare flag = 0.25); lost runs are reported, "
@@ -421,9 +450,9 @@ def main(argv: Optional[list] = None) -> int:
 
     p = sub.add_parser("profile", help="causal-profile an app")
     p.add_argument("app")
-    p.add_argument("--runs", type=int, default=8)
-    p.add_argument("--experiment-ms", type=float, default=50.0)
-    p.add_argument("--speedup-step", type=int, default=20)
+    p.add_argument("--runs", type=_count_arg, default=8)
+    p.add_argument("--experiment-ms", type=_experiment_ms_arg, default=50.0)
+    p.add_argument("--speedup-step", type=_speedup_step_arg, default=20)
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--graphs", type=int, default=0, help="render N ASCII graphs")
     p.add_argument("--optimized", action="store_true")
@@ -447,7 +476,7 @@ def main(argv: Optional[list] = None) -> int:
              "early stopping (default: static)",
     )
     p.add_argument(
-        "--budget", type=int, default=None, metavar="N",
+        "--budget", type=_count_arg, default=None, metavar="N",
         help="planner run budget (default: --runs); the adaptive planner "
              "may stop early when every line converges",
     )
@@ -458,7 +487,7 @@ def main(argv: Optional[list] = None) -> int:
 
     p = sub.add_parser("compare", help="before/after optimization (Table 3 row)")
     p.add_argument("app")
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=_count_arg, default=10)
     _add_jobs_flag(p)
     _add_audit_flag(p)
     _add_resilience_flags(p)
@@ -466,7 +495,7 @@ def main(argv: Optional[list] = None) -> int:
 
     p = sub.add_parser("overhead", help="overhead breakdown (Figure 9 bar)")
     p.add_argument("app")
-    p.add_argument("--runs", type=int, default=3)
+    p.add_argument("--runs", type=_count_arg, default=3)
     _add_jobs_flag(p)
     _add_audit_flag(p)
     p.set_defaults(fn=cmd_overhead)
@@ -515,12 +544,12 @@ def main(argv: Optional[list] = None) -> int:
     _add_socket_flags(p)
     p.add_argument("--tenant", default="default",
                    help="tenant the job is accounted under (default: default)")
-    p.add_argument("--runs", type=int, default=8)
+    p.add_argument("--runs", type=_count_arg, default=8)
     p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--experiment-ms", type=float, default=50.0)
-    p.add_argument("--speedup-step", type=int, default=20)
+    p.add_argument("--experiment-ms", type=_experiment_ms_arg, default=50.0)
+    p.add_argument("--speedup-step", type=_speedup_step_arg, default=20)
     p.add_argument("--planner", choices=PLANNERS, default="static")
-    p.add_argument("--budget", type=int, default=None, metavar="N")
+    p.add_argument("--budget", type=_count_arg, default=None, metavar="N")
     p.add_argument("--deadline-s", type=float, default=None,
                    help="wall-clock budget; an expired job returns its "
                         "completed prefix (resumable by resubmitting)")
@@ -532,7 +561,7 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument("--json", action="store_true",
                    help="print the daemon's raw JSON response")
     p.add_argument(
-        "--chaos", type=float, nargs="?", const=0.25, default=None,
+        "--chaos", type=_probability_arg, nargs="?", const=0.25, default=None,
         metavar="INTENSITY",
         help="inject the deterministic fault matrix at this per-run "
              "probability (bare flag = 0.25)",
@@ -560,9 +589,9 @@ def main(argv: Optional[list] = None) -> int:
         "--apps", default="example",
         help="comma-separated application names (default: example)",
     )
-    p.add_argument("--runs", type=int, default=6,
+    p.add_argument("--runs", type=_count_arg, default=6,
                    help="causal free-selection runs per app (default 6)")
-    p.add_argument("--experiment-ms", type=float, default=25.0)
+    p.add_argument("--experiment-ms", type=_experiment_ms_arg, default=25.0)
     p.add_argument("--top", type=int, default=10,
                    help="rows per ranking and the k of top-k disagreement")
     p.add_argument(
@@ -584,7 +613,7 @@ def main(argv: Optional[list] = None) -> int:
         "doctor", help="audit the delay-accounting invariants on an app"
     )
     p.add_argument("app")
-    p.add_argument("--runs", type=int, default=3)
+    p.add_argument("--runs", type=_count_arg, default=3)
     _add_jobs_flag(p)
     p.set_defaults(fn=cmd_doctor)
 

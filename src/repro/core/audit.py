@@ -25,10 +25,7 @@ end-to-end:
 * **wire-roundtrip** — ``ProfileData.from_json(to_json(d)) == d``;
 * **parallel-serial-identity** — a sampled subset of worker-process runs is
   re-executed in the parent and compared bit-for-bit (the full-session
-  variant is checked by :func:`run_doctor`);
-* **backend-identity** (:func:`run_doctor` only) — a full serial session
-  under the compiled engine backend is bit-identical to one under the pure
-  reference loop (passes with ``checked=0`` when the core is not built).
+  variant is checked by :func:`run_doctor`).
 
 The auditor is strictly observational (no RNG, no cost, no scheduling
 effect), so attaching it never changes a profiling result — parallel and
@@ -540,40 +537,4 @@ def run_doctor(
                "bit-identical to a cold chaos session",
     ))
 
-    # backend identity (repro.sim.backend): one full serial session under
-    # each execution backend — compiled core vs pure reference — must
-    # produce identical ProfileData.  Cold on both sides so the compiled
-    # loop runs the whole session rather than a checkpoint tail.  Without
-    # the compiled core built there is nothing to compare; the invariant
-    # passes with checked=0 so doctor output still lists it.
-    from repro.sim import backend as backend_mod
-
-    if backend_mod.accel_available():
-        def _session_under(backend: str):
-            prior = os.environ.get(backend_mod.BACKEND_ENV)
-            os.environ[backend_mod.BACKEND_ENV] = backend
-            try:
-                return run_profile_session(spec, ProfileRequest(
-                    runs=runs, base_seed=base_seed, coz_config=cfg,
-                    execution=ExecutionConfig(jobs=1, checkpoint=False),
-                ))
-            finally:
-                if prior is None:
-                    del os.environ[backend_mod.BACKEND_ENV]
-                else:
-                    os.environ[backend_mod.BACKEND_ENV] = prior
-
-        pure_out = _session_under("pure")
-        accel_out = _session_under("accel")
-        report.add(_check(
-            "backend-identity",
-            pure_out.data == accel_out.data,
-            detail="accel-backend session is not bit-identical to the "
-                   "pure-backend session",
-        ))
-    else:
-        report.add(_check(
-            "backend-identity", True, checked=0,
-            detail="compiled core not built; pure backend only",
-        ))
     return report

@@ -18,7 +18,6 @@ from typing import Callable, List, Optional
 from repro.harness.journal import SessionJournal
 from repro.harness.parallel import (
     ParallelExecutionWarning,
-    RetryPolicy,
     RunTask,
     execute_tasks,
 )
@@ -37,7 +36,6 @@ def measure_runtimes(
     app_ref=None,
     audit_report=None,
     faults: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
     journal: Optional[SessionJournal] = None,
     segment: str = "runtimes",
 ) -> List[int]:
@@ -73,7 +71,6 @@ def measure_runtimes(
     for out in execute_tasks(
         remaining, jobs=jobs, timeout=timeout,
         audit_report=audit_report if jobs != 1 else None,
-        retry=retry,
         on_output=journal_hook(journal, segment),
     ):
         outputs[out.index] = out
@@ -144,7 +141,6 @@ def compare_builds(
     optimized_ref=None,
     audit_report=None,
     faults: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
 ) -> Comparison:
@@ -175,13 +171,13 @@ def compare_builds(
         baseline = measure_runtimes(
             baseline_factory, runs=runs, base_seed=base_seed,
             jobs=jobs, timeout=timeout, app_ref=baseline_ref,
-            audit_report=audit_report, faults=faults, retry=retry,
+            audit_report=audit_report, faults=faults,
             journal=jr, segment="baseline",
         )
         optimized = measure_runtimes(
             optimized_factory, runs=runs, base_seed=base_seed + runs,
             jobs=jobs, timeout=timeout, app_ref=optimized_ref,
-            audit_report=audit_report, faults=faults, retry=retry,
+            audit_report=audit_report, faults=faults,
             journal=jr, segment="optimized",
         )
     finally:
@@ -210,7 +206,6 @@ def compare_app(
     timeout: Optional[float] = None,
     audit_report=None,
     faults: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
     **build_kwargs,
@@ -233,7 +228,6 @@ def compare_app(
         optimized_ref=opt.registry_ref,
         audit_report=audit_report,
         faults=faults,
-        retry=retry,
         journal=journal,
         resume=resume,
     )

@@ -790,8 +790,6 @@ def execute_tasks(
     jobs: int = 1,
     timeout: Optional[float] = None,
     audit_report=None,
-    retry: Optional[RetryPolicy] = None,
-    watchdog: Optional[Watchdog] = None,
     on_output: Optional[Callable[[RunTask, RunOutput], None]] = None,
     deadline_monotonic: Optional[float] = None,
     batch_runs: Optional[int] = None,
@@ -804,12 +802,12 @@ def execute_tasks(
     round trip amortizes over several runs; a failed multi-run batch is
     split in half and resubmitted, so a single poisoned run degrades to a
     singleton instead of sinking its batch-mates.
-    Worker failures retry per ``retry`` (default :class:`RetryPolicy`):
+    Worker failures retry per a default :class:`RetryPolicy`:
     in-pool with capped exponential backoff first, in the parent last, with
     a circuit breaker that degrades the whole batch to in-parent serial
     execution after repeated consecutive failures.  Waits are bounded by
     ``timeout`` when given (scaled by the number of runs still pending in
-    the awaited batch), else by the ``watchdog`` deadline (running
+    the awaited batch), else by a :class:`Watchdog` deadline (running
     median of healthy wall-times); the first hang terminates the pool's
     processes (hung workers cannot be cancelled) and the remaining tasks
     run in the parent.  A pool that cannot start degrades the whole batch
@@ -829,7 +827,7 @@ def execute_tasks(
     runs is re-executed in the parent and checked for bit-identity.
     """
     jobs = resolve_jobs(jobs, len(tasks))
-    retry = retry or RetryPolicy()
+    retry = RetryPolicy()
 
     def remaining_s() -> Optional[float]:
         if deadline_monotonic is None:
@@ -864,7 +862,7 @@ def execute_tasks(
         deadline_monotonic=deadline_monotonic,
     )
     session.pool = pool
-    watchdog = watchdog or Watchdog()
+    watchdog = Watchdog()
 
     def finish(task: RunTask, out: RunOutput) -> None:
         session.outputs[task.index] = out

@@ -3,7 +3,7 @@
 :class:`ProfileRequest` holds the session-level knobs (run count, seeds,
 profiler config, audit) plus three sub-configs grouped by concern:
 
-* :class:`ExecutionConfig` — *how* runs execute (workers, timeouts, retry,
+* :class:`ExecutionConfig` — *how* runs execute (workers, timeouts,
   checkpoint fast-forward).  Execution-only: never part of the session
   fingerprint, because results are bit-identical across these settings.
 * :class:`ResilienceConfig` — fault injection and crash recovery (chaos
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.config import CozConfig
-from repro.harness.parallel import RetryPolicy
 from repro.plan.base import PlanConfig
 from repro.sim.faults import FaultPlan
 
@@ -39,8 +38,6 @@ class ExecutionConfig:
     #: ``1`` = classic one-future-per-run dispatch.  Execution-only: the
     #: merged profile is bit-identical for every batch size.
     batch_runs: Optional[int] = None
-    #: retry/backoff/circuit-breaker policy for worker failures
-    retry: Optional[RetryPolicy] = None
     #: checkpoint fast-forward (:mod:`repro.harness.checkpoint`): resume
     #: runs from stored prefix snapshots when bit-identical ones exist and
     #: record snapshots when they don't.  Ignored for unregistered specs,

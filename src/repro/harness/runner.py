@@ -107,8 +107,8 @@ def session_fingerprint(
 ) -> dict:
     """Everything that determines a session's results, canonicalized.
 
-    Execution-only knobs (``jobs``, ``timeout``, retry policy, checkpoint
-    fast-forward, the observational ``audit`` flag) are excluded: a session
+    Execution-only knobs (``jobs``, ``timeout``, checkpoint fast-forward,
+    the observational ``audit`` flag) are excluded: a session
     may be resumed with a different worker count and still merge
     bit-identically.  The per-run seed overrides the config's ``seed``
     field, so that is normalized out too.  The plan configuration *is*
@@ -291,7 +291,6 @@ def run_profile_session(
                 jobs=execution.jobs,
                 timeout=execution.timeout,
                 audit_report=audit_report if execution.jobs != 1 else None,
-                retry=execution.retry,
                 on_output=on_output,
                 deadline_monotonic=deadline_monotonic,
                 batch_runs=execution.batch_runs,

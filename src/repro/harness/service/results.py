@@ -76,7 +76,7 @@ class ResultStore:
         try:
             write_once(self._path(fingerprint), blob.encode("utf-8"), fsync=True)
         except OSError:
-            pass  # the disk cache is an accelerator, not a correctness dependency
+            pass  # the disk cache only saves time; correctness never depends on it
 
     @property
     def hit_rate(self) -> float:

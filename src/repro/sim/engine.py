@@ -67,7 +67,7 @@ import math
 import random
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.sim import ops as O
@@ -142,9 +142,8 @@ class OpLog:
 
     ``sync`` maps each sync primitive a logged op referenced to its
     first-encounter id; every primitive is first referenced at a special
-    entry, so replay rebuilds the ids by walking ops at specials only.  Both
-    engine backends write this log identically: ``Engine._advance`` /
-    ``_do_spawn`` and ``_core.c``'s ``c_log``.
+    entry, so replay rebuilds the ids by walking ops at specials only.
+    ``Engine._advance`` and ``_do_spawn`` write it.
     """
 
     __slots__ = ("ids", "specials", "sync")
@@ -179,10 +178,6 @@ class SimConfig:
     max_virtual_ns: Optional[int] = None
     #: engine RNG seed: drives per-thread sampling phase jitter
     seed: int = 0
-    #: process a thread's buffered samples before it blocks (Coz's runtime
-    #: interposes on blocking calls and drains available samples there, so
-    #: mostly-blocked threads do not sit on stale batches)
-    flush_samples_on_block: bool = True
     #: randomize each thread's sampling phase (realistic perf_event behaviour;
     #: also prevents aliasing between aligned sampling clocks and periodic
     #: work, a bias source the paper warns about)
@@ -198,12 +193,6 @@ class SimConfig:
     #: scales each ``Work`` as it starts, by the innermost factor among its
     #: line, then its thread's frame callsites (0.5 = twice as fast)
     line_speedups: Tuple[Tuple[SourceLine, float], ...] = ()
-    #: engine execution backend: ``"pure"``, ``"accel"``, or ``None`` for
-    #: the process default (``REPRO_ENGINE_BACKEND`` env, else accel when
-    #: the compiled core is built).  Execution-only — results are
-    #: bit-identical either way — so it is excluded from ``repr`` and
-    #: thereby from every canonical session/checkpoint fingerprint.
-    backend: Optional[str] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.line_speedups = normalize_line_speedups(self.line_speedups)
@@ -250,15 +239,6 @@ class Engine:
         #: ordinary runs pay nothing for the surface
         self._block_observers: List[Observer] = []
         self._blocked_at: dict = {}
-        from repro.sim import backend as _backend
-
-        #: resolved execution backend for this engine ('pure' or 'accel')
-        self.backend: str = _backend.resolve_backend(self.cfg.backend)
-        self._backend_loop = _backend.event_loop_for(self.backend)
-        #: times the compiled core actually ran an event loop for this
-        #: engine (0 under the pure backend or an accel fallback) — tests
-        #: use this to prove the accel path really engaged
-        self.accel_loops = 0
         self.sampler = Sampler(self.cfg.sample_period_ns, self.cfg.sample_batch)
         self.sampling_enabled = False
         self._observer_sampling = False
@@ -491,14 +471,107 @@ class Engine:
             obs.on_run_end(self)
 
     def _event_loop(self) -> None:
-        """Run the selected backend's event loop (see repro.sim.backend).
-
-        The loop itself lives in :mod:`repro.sim.backend.pure` (reference)
-        and ``repro.sim.backend._core`` (optional compiled twin); both
-        drive this engine's state through the same methods and produce
-        bit-identical results.
-        """
-        self._backend_loop(self)
+        """Run the event loop to completion (or error)."""
+        max_ns = self.cfg.max_virtual_ns
+        heap = self._heap
+        pop = heapq.heappop
+        # Loop-invariant hoists: sampling/observer wiring is fixed once the
+        # run has started (on_run_start is the last chance to change it), and
+        # the ready/running containers are mutated in place.
+        ready = self.ready
+        running = self.running
+        observers = self.observers
+        sampler = self.sampler
+        period_ns = sampler.period_ns
+        batch_size = sampler.batch_size
+        sampling_live = self._sampling_live
+        coalesce = self._coalesce
+        snap_next = self._snap_next
+        events = 0
+        while self._alive:
+            if not heap:
+                self.events_processed += events
+                events = 0
+                self._raise_deadlock()
+            if snap_next is not None and heap[0][0] >= snap_next:
+                # virtual time is about to cross a checkpoint-grid boundary
+                # and the engine is quiescent (between events): capture.
+                # The early events_processed flush keeps the final total
+                # identical whether or not this run is ever resumed.
+                self.events_processed += events
+                events = 0
+                snap_next = self._take_checkpoint()
+            when, _lp, _sub, _seq, kind, obj, arg = pop(heap)
+            if when > self.now:
+                self.now = when
+            events += 1
+            if kind == _EV_CHUNK:
+                if obj.chunk_token == arg and obj.state is RUNNING:
+                    # inlined chunk completion — the most frequent event by
+                    # far: account the chunk's CPU (the _account_cpu fast
+                    # path, kept in sync), then requeue for round-robin
+                    # fairness or keep driving the thread
+                    nominal = obj.chunk_nominal
+                    if nominal > 0:
+                        obj.activity_remaining -= nominal
+                        obj.cpu_ns += nominal
+                        self.total_cpu_ns += nominal
+                        if observers:
+                            func = obj.current_func()
+                            for obs in observers:
+                                obs.on_work(obj, obj.activity_line, func, nominal)
+                        if sampling_live:
+                            accum = obj.sample_accum + nominal
+                            if (
+                                accum < period_ns
+                                and obj.sample_buffer.n < batch_size
+                            ):
+                                obj.sample_accum = accum
+                            else:
+                                batch = sampler.account(
+                                    obj, nominal, self.now, True,
+                                    rate=obj.chunk_rate,
+                                )
+                                if batch is not None:
+                                    self._deliver_batch(obj, batch)
+                    obj.chunk_nominal = 0
+                    if obj.activity_remaining > 0 and ready:
+                        running.discard(obj)
+                        obj.state = READY
+                        ready.append(obj)
+                    else:
+                        self._drive(obj)
+            elif kind == _EV_SLEEP:
+                if obj.chunk_token == arg and obj.state is SLEEPING:
+                    self._sleeping -= 1
+                    obj.state = BLOCKED  # transit state so _wake() is legal
+                    self._wake(obj, waker=None)
+            elif kind == _EV_PAUSE:
+                if obj.chunk_token == arg and obj.state is SLEEPING:
+                    self._make_ready(obj)
+            elif kind == _EV_OVERHEAD:
+                if obj.chunk_token == arg and obj.state is RUNNING:
+                    self._drive(obj)
+            else:  # _EV_TIMER
+                self._timer_count -= 1
+                obj()
+                if coalesce:
+                    # a timer (experiment boundary) may have handed running
+                    # threads a pending pause/CPU charge; the legacy engine
+                    # honours those at the next quantum boundary, so pull any
+                    # in-flight mega-chunk back to its grid
+                    self._truncate_pending()
+            if ready:
+                self._dispatch()
+            if max_ns is not None and self.now > max_ns:
+                self.events_processed += events
+                self._raise_overrun()
+            if self._alive and not running and not ready:
+                if self._sleeping == 0 and self._timer_count == 0:
+                    self.events_processed += events
+                    events = 0
+                    self._raise_deadlock()
+        self.events_processed += events
 
     def _raise_overrun(self) -> None:
         raise SimulationError(
@@ -948,7 +1021,7 @@ class Engine:
                 return
             cls = op.__class__
             if oplog is not None:
-                # the OpLog contract (c_log logs the same -- keep in sync)
+                # the OpLog contract
                 fresh = False
                 attrs = _SYNC_ATTRS.get(cls)
                 if attrs is not None:
@@ -1022,11 +1095,10 @@ class Engine:
                 plan = self._resolve_op_plan(t, op)
         cost, action, blocking, waking = plan
         if blocking or waking:
-            if (
-                self.cfg.flush_samples_on_block
-                and t.sample_buffer.n
-                and self._sampling_live
-            ):
+            # Coz's runtime interposes on blocking calls and drains the
+            # available samples there, so a mostly-blocked thread does not
+            # sit on a stale batch
+            if t.sample_buffer.n and self._sampling_live:
                 self._deliver_batch(t, self.sampler.drain(t))
             hook = self.hook
             if hook is not None:

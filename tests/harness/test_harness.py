@@ -174,6 +174,30 @@ def test_cli_compare(capsys):
     assert "swaptions" in out and "%" in out
 
 
+@pytest.mark.parametrize("argv", [
+    "profile example --speedup-step 0",
+    "profile example --speedup-step 200",
+    "profile example --runs 0",
+    "profile example --experiment-ms 0",
+    "profile example --experiment-ms nan",
+    "profile example --budget 0",
+    "profile example --chaos 2",
+    "overhead example --runs 0",
+    "compare ferret --runs 0",
+])
+def test_cli_rejects_out_of_range_numbers(capsys, argv):
+    """Bad numeric flags stop in argparse (exit 2, usage message), before
+    any planner, config or statistics code sees them."""
+    from repro.cli import main
+
+    option = argv.split()[2]
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: " in err and "Traceback" not in err
+
+
 def test_cli_rejects_unknown_app():
     from repro.cli import main
 

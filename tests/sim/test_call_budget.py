@@ -2,9 +2,9 @@
 
 A wall-clock bound depends on the machine; the number of Python-level
 calls the simulator makes per engine event does not.  These tests run a
-small profiled sqlite program on the pure backend under ``sys.setprofile``
-and count every call into code under ``src/repro`` (generator resumes
-included), per engine event — once plain and once with a checkpoint
+small profiled sqlite program under ``sys.setprofile`` and count every
+call into code under ``src/repro`` (generator resumes included), per
+engine event — once plain and once with a checkpoint
 ``Recorder`` attached, whose op logging is inlined in the engine.
 
 Reference counts for this program (identical on CPython 3.10–3.13): 12.95
@@ -40,7 +40,6 @@ import gc
 import os
 import pickle
 import sys
-from dataclasses import replace
 
 import repro
 from repro.apps import registry
@@ -58,7 +57,6 @@ _ROOT = os.path.dirname(repro.__file__)
 
 def calls_per_event(spec, seed=1, recorder=None):
     program = spec.build(seed)
-    config = replace(program.config, backend="pure")
     hook = CausalProfiler(
         CozConfig(scope=spec.scope, experiment_duration_ns=MS(10), seed=seed),
         spec.progress_points,
@@ -73,7 +71,7 @@ def calls_per_event(spec, seed=1, recorder=None):
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        result = program.run(hook=hook, config=config, recorder=recorder)
+        result = program.run(hook=hook, recorder=recorder)
     finally:
         sys.setprofile(previous)
     return calls / result.events_processed

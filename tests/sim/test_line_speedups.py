@@ -19,8 +19,6 @@ from repro.core.config import CozConfig
 from repro.core.profiler import CausalProfiler
 from repro.harness.checkpoint import checkpoint_fingerprint
 from repro.sim import MS, Join, Program, SimConfig, Spawn, Work, line
-from repro.sim.backend import accel
-from repro.sim.engine import Engine
 from repro.sim.ops import POP_FRAME, push_frame
 from repro.sim.snapshot import Recorder, SnapshotError
 from repro.sim.trace import TraceHasher
@@ -167,8 +165,3 @@ def test_invalid_factor_is_rejected_before_any_run(bad):
         registry.build("example", rounds=3, line_speedups={LINE_A: bad})
     with pytest.raises(ValueError, match="must be finite and >= 0"):
         SimConfig(line_speedups={LINE_A: bad})
-
-
-def test_knob_keeps_the_run_on_the_pure_loop():
-    assert accel.eligible(Engine(SimConfig()))
-    assert not accel.eligible(Engine(SimConfig(line_speedups={LINE_A: 0.5})))
