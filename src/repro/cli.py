@@ -378,6 +378,13 @@ def _count_arg(value: str) -> int:
     return count
 
 
+def _nonnegative_arg(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return n
+
+
 def _probability_arg(value: str) -> float:
     p = float(value)
     if not 0.0 <= p <= 1.0:  # NaN fails both comparisons
@@ -453,8 +460,8 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument("--runs", type=_count_arg, default=8)
     p.add_argument("--experiment-ms", type=_experiment_ms_arg, default=50.0)
     p.add_argument("--speedup-step", type=_speedup_step_arg, default=20)
-    p.add_argument("--top", type=int, default=10)
-    p.add_argument("--graphs", type=int, default=0, help="render N ASCII graphs")
+    p.add_argument("--top", type=_nonnegative_arg, default=10)
+    p.add_argument("--graphs", type=_nonnegative_arg, default=0, help="render N ASCII graphs")
     p.add_argument("--optimized", action="store_true")
     p.add_argument("--coz-output", help="write raw experiments in Coz's file format")
     p.add_argument(
@@ -592,7 +599,7 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument("--runs", type=_count_arg, default=6,
                    help="causal free-selection runs per app (default 6)")
     p.add_argument("--experiment-ms", type=_experiment_ms_arg, default=25.0)
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_nonnegative_arg, default=10,
                    help="rows per ranking and the k of top-k disagreement")
     p.add_argument(
         "--output", choices=("text", "json"), default="text",

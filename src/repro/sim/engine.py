@@ -84,7 +84,7 @@ from repro.sim.hooks import Observer, ProfilerHook
 from repro.sim.sampler import ColumnarBuf, Sampler
 from repro.sim.source import RUNTIME_LINE, SourceLine
 from repro.sim.sync import Barrier, CondVar, Mutex, Semaphore
-from repro.sim.thread import Frame, ThreadState, VThread
+from repro.sim.thread import ThreadState, VThread
 
 BLOCKED = ThreadState.BLOCKED
 FINISHED = ThreadState.FINISHED
@@ -1065,7 +1065,7 @@ class Engine:
                 t.chain_cache = None
                 continue
             if cls is O.PushFrame and not self.observers:
-                t.stack.append(Frame(op.func, op.callsite))
+                t.stack.append(op)
                 t.chain_cache = None
                 continue
             plan = table.get(cls)
@@ -1322,7 +1322,7 @@ class Engine:
 
     def _do_push_frame(self, t: VThread, op) -> None:
         caller = t.current_func()
-        t.stack.append(Frame(op.func, op.callsite))
+        t.stack.append(op)
         t.chain_cache = None
         for obs in self.observers:
             obs.on_call(t, op.func, caller)

@@ -67,7 +67,7 @@ from repro.sim.engine import (
 )
 from repro.sim.source import SourceLine
 from repro.sim.sync import Barrier, CondVar, Mutex, Semaphore
-from repro.sim.thread import Frame, ThreadState, VThread
+from repro.sim.thread import ThreadState, VThread
 from repro.storage import frame, unframe
 
 __all__ = [
@@ -84,12 +84,18 @@ SNAPSHOT_VERSION = 4
 
 #: first checkpoint-grid point (virtual ns)
 DEFAULT_GRID_FIRST_NS = MS(10)
-#: geometric growth of the grid spacing; the deepest checkpoint is then
-#: always within (1 - 1/factor) of the end of any prefix, so a resumed run
-#: re-simulates at most ~20% of the shared prefix with the default 1.25
-DEFAULT_GRID_FACTOR = 1.25
-#: hard cap on captures per run (runaway-grid backstop)
-DEFAULT_MAX_SNAPSHOTS = 64
+#: geometric growth of the grid spacing; the last grid point a run
+#: crosses is within (1 - 1/factor) of its end, so a run resumed from it
+#: re-simulates at most the last ~5% of its virtual time with 1.05
+DEFAULT_GRID_FACTOR = 1.05
+#: engine events that must pass since the last capture before the
+#: geometric grid captures again (the first grid point always captures).
+#: A run that is long in virtual time but short in events would otherwise
+#: capture at nearly every grid point.  With the spacing, the captures of
+#: a run are bounded by both log_factor(duration / first_ns) and
+#: events / MIN_CAPTURE_EVENTS, and a resumed run re-simulates at most
+#: this many events more than the last ~5% of its virtual time holds
+MIN_CAPTURE_EVENTS = 1000
 
 
 class SnapshotError(SimulationError):
@@ -192,16 +198,18 @@ class Recorder:
     """Attach to a fresh engine; capture snapshots on a geometric time grid.
 
     The engine run loop calls :meth:`take` whenever virtual time is about to
-    cross the next grid point.  Only the latest (deepest) snapshot is kept
-    unless ``keep_all`` is set — a deterministic resume never benefits from
-    a shallower checkpoint, and dropping the rest bounds memory.
+    cross the next grid point.  A geometric-grid point after the first is
+    skipped when fewer than :data:`MIN_CAPTURE_EVENTS` engine events have
+    passed since the last capture; an explicit ``grid`` captures at every
+    listed instant.  Only the latest (deepest) snapshot is kept unless
+    ``keep_all`` is set — a deterministic resume never benefits from a
+    shallower checkpoint, and dropping the rest bounds memory.
     """
 
     def __init__(
         self,
         first_ns: int = DEFAULT_GRID_FIRST_NS,
         factor: float = DEFAULT_GRID_FACTOR,
-        max_snapshots: int = DEFAULT_MAX_SNAPSHOTS,
         keep_all: bool = False,
         grid: Optional[List[int]] = None,
     ) -> None:
@@ -213,11 +221,12 @@ class Recorder:
             self._grid = None
             self._next = int(first_ns)
         self.factor = factor
-        self.max_snapshots = max_snapshots
         self.keep_all = keep_all
         self.snapshots: List[EngineSnapshot] = []
         self.failed = False
-        self._taken = 0
+        #: engine.events_processed at the last capture; set so that the
+        #: first grid point always captures
+        self._captured_at = -MIN_CAPTURE_EVENTS
         # the engine-written op log; specials before _cursor are serialized
         self._log = OpLog()
         self._cursor = 0
@@ -248,13 +257,19 @@ class Recorder:
     # ---------------------------------------------------------------- take
 
     def take(self, engine: Engine) -> Optional[int]:
-        """Capture a snapshot now; return the next grid point (None = stop).
+        """Capture a snapshot if due; return the next grid point (None = stop).
 
-        Called by the engine run loop between event pops.  A capture
-        failure warns once and permanently disables further captures for
-        this run — snapshots already taken remain valid (the run up to
-        their instant was recorded faithfully, whatever happens later).
+        Called by the engine run loop between event pops, with
+        ``engine.events_processed`` up to date.  A capture failure warns
+        once and permanently disables further captures for this run —
+        snapshots already taken remain valid (the run up to their instant
+        was recorded faithfully, whatever happens later).
         """
+        if (
+            self._grid is None
+            and engine.events_processed - self._captured_at < MIN_CAPTURE_EVENTS
+        ):
+            return self._advance_grid(engine)
         try:
             snap = self._capture(engine)
         except SnapshotError as exc:
@@ -269,9 +284,7 @@ class Recorder:
             self.snapshots.append(snap)
         else:
             self.snapshots[-1] = snap
-        self._taken += 1
-        if self._taken >= self.max_snapshots:
-            return None
+        self._captured_at = engine.events_processed
         return self._advance_grid(engine)
 
     def _advance_grid(self, engine: Engine) -> Optional[int]:
@@ -706,7 +719,7 @@ def _overlay_threads(
         t.sample_buffer = engine.sampler.new_buffer(d["sample_buffer"])
         t.pending_pause_ns = d["pending_pause_ns"]
         t.pending_cpu_ns = d["pending_cpu_ns"]
-        t.stack = [Frame(func, callsite) for (func, callsite) in d["stack"]]
+        t.stack = [O.push_frame(func, callsite) for (func, callsite) in d["stack"]]
         t.chain_cache = None
         t.prof = dict(d["prof"])
         t.joiners = [threads[j] for j in d["joiners"]]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.sim.ops import PushFrame
 from repro.sim.sampler import ColumnarBuf
 from repro.sim.source import RUNTIME_LINE, SourceLine
 
@@ -24,19 +25,6 @@ class ThreadState(enum.Enum):
     BLOCKED = "blocked"    # suspended on a sync primitive or join
     SLEEPING = "sleeping"  # timed suspension (sleep, I/O, inserted pause)
     FINISHED = "finished"  # generator exhausted
-
-
-class Frame:
-    """One entry of a thread's call stack."""
-
-    __slots__ = ("func", "callsite")
-
-    def __init__(self, func: str, callsite: Optional[SourceLine]) -> None:
-        self.func = func
-        self.callsite = callsite
-
-    def __repr__(self) -> str:
-        return f"Frame({self.func} @ {self.callsite})"
 
 
 class VThread:
@@ -125,7 +113,9 @@ class VThread:
         self.pending_cpu_ns: int = 0
 
         # --- attribution -------------------------------------------------------
-        self.stack: List[Frame] = []
+        #: call stack, innermost last: each frame is the (interned)
+        #: :class:`~repro.sim.ops.PushFrame` op that entered it
+        self.stack: List[PushFrame] = []
         #: memoized callchain() tuple; invalidated by the engine whenever the
         #: activity line or the frame stack changes
         self.chain_cache: Optional[Tuple[SourceLine, ...]] = None

@@ -184,13 +184,16 @@ def test_cli_compare(capsys):
     "profile example --chaos 2",
     "overhead example --runs 0",
     "compare ferret --runs 0",
+    "profile example --top -1",
+    "profile example --graphs -1",
+    "diff --top -1",
 ])
 def test_cli_rejects_out_of_range_numbers(capsys, argv):
     """Bad numeric flags stop in argparse (exit 2, usage message), before
     any planner, config or statistics code sees them."""
     from repro.cli import main
 
-    option = argv.split()[2]
+    option = next(word for word in argv.split() if word.startswith("--"))
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2

@@ -10,7 +10,9 @@ engine event — once plain and once with a checkpoint
 Reference counts for this program (identical on CPython 3.10–3.13): 12.95
 calls per event while app models rebuilt their ops every loop iteration
 and routed them through per-op helper generators; 5.98 once they build
-constant ops once and yield them from flat loops.  The budget leaves room
+constant ops once and yield them from flat loops; 5.77 (read on CPython
+3.11.7) once a call-stack frame is the interned ``PushFrame`` op itself
+rather than a new object.  The budget leaves room
 for ordinary engine changes but fails if the per-op tax comes back.
 
 The same counting applies to memory the garbage collector must rescan:
@@ -32,14 +34,27 @@ specials are few, so the ratio stays near 4–5 bytes and falls as the run
 grows (4.76 at 150 inserts per thread, 4.20 at 600).  The live id column
 is held to the same budget in memory (4.07 bytes per entry at 600), so an
 eight-byte id column or a Python list of ids fails it.
+
+Warm resume is counted in engine events: a run resumed from its deepest
+default checkpoint re-simulates the events after it, and that tail costs
+more per event than replaying the prefix.  On a default profiled run
+(seed 3) the tail read 12.2% of ferret's events and 14.7% of sqlite's
+while the grid grew x1.25 per point and stopped at 64 captures; it reads
+1.3% and 1.6% with the x1.05 grid.  The same runs took 19 and 7 captures
+then, 37 and 32 now, and example — long in virtual time, short in
+events — 25 then and 5 now that grid points closer than
+``MIN_CAPTURE_EVENTS`` engine events are skipped.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import os
 import pickle
 import sys
+
+import pytest
 
 import repro
 from repro.apps import registry
@@ -51,6 +66,8 @@ from repro.sim.snapshot import Recorder, restore
 CALLS_PER_EVENT_BUDGET = 8.0
 REPLAY_OPCODES_PER_ENTRY_BUDGET = 20.0
 SNAPSHOT_BYTES_PER_ENTRY_BUDGET = 6.0
+RESUMED_TAIL_SHARE_BUDGET = 0.05
+CAPTURES_PER_RUN_BUDGET = {"example": 8, "sqlite": 48, "ferret": 48}
 
 _ROOT = os.path.dirname(repro.__file__)
 
@@ -188,4 +205,44 @@ def test_snapshot_bytes_per_entry_within_budget():
     assert resident <= SNAPSHOT_BYTES_PER_ENTRY_BUDGET, (
         f"the op-log id column holds {resident:.2f} bytes per entry in memory "
         f"(budget {SNAPSHOT_BYTES_PER_ENTRY_BUDGET})"
+    )
+
+
+def _default_hook(spec, seed):
+    cfg = CozConfig(scope=spec.scope, seed=seed)
+    return CausalProfiler(cfg, spec.progress_points, spec.latency_specs)
+
+
+@functools.lru_cache(maxsize=None)
+def _default_recorded_run(app, seed=3):
+    """A default profiled run of ``app`` under a default-grid recorder that
+    keeps every capture; returns (spec, result, snapshots)."""
+    spec = registry.build(app)
+    recorder = Recorder(keep_all=True)
+    result = spec.build(seed).run(hook=_default_hook(spec, seed), recorder=recorder)
+    assert recorder.snapshots and not recorder.failed
+    return spec, result, recorder.snapshots
+
+
+@pytest.mark.parametrize("app", ["ferret", "sqlite"])
+def test_resumed_tail_within_budget(app):
+    spec, cold, snapshots = _default_recorded_run(app)
+    engine = restore(snapshots[-1], spec.build(3), hook=_default_hook(spec, 3))
+    restored_at = engine.events_processed
+    engine.resume_run()
+    assert engine.events_processed == cold.events_processed
+    share = (engine.events_processed - restored_at) / cold.events_processed
+    assert share <= RESUMED_TAIL_SHARE_BUDGET, (
+        f"a resumed {app} run re-simulates {share:.1%} of its "
+        f"{cold.events_processed} events (budget {RESUMED_TAIL_SHARE_BUDGET:.0%})"
+    )
+
+
+@pytest.mark.parametrize("app", sorted(CAPTURES_PER_RUN_BUDGET))
+def test_captures_per_run_within_budget(app):
+    _spec, _cold, snapshots = _default_recorded_run(app)
+    budget = CAPTURES_PER_RUN_BUDGET[app]
+    assert len(snapshots) <= budget, (
+        f"a default recorded {app} run took {len(snapshots)} checkpoint "
+        f"captures (budget {budget})"
     )

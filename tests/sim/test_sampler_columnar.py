@@ -26,6 +26,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.sim.ops import push_frame
 from repro.sim.sampler import (
     SAFE_TIME_MAX,
     VECTOR_MIN,
@@ -34,7 +35,7 @@ from repro.sim.sampler import (
     Sampler,
 )
 from repro.sim.source import line
-from repro.sim.thread import Frame, VThread
+from repro.sim.thread import VThread
 
 LINES = [line(f"fuzz.c:{i}") for i in range(1, 6)]
 FUNCS = ["", "alpha", "beta"]
@@ -74,7 +75,7 @@ def _reference_samples(t, nominal, now, rate, period):
 
 def _enter(t, ln, func, callsite):
     t.activity_line = ln
-    t.stack = [Frame(func, callsite)] if func else []
+    t.stack = [push_frame(func, callsite)] if func else []
     t.chain_cache = None
 
 
