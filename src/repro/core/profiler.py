@@ -346,8 +346,8 @@ class CausalProfiler(ProfilerHook):
     # Checkpoint fast-forward protocol (repro.sim.snapshot): the recorder
     # captures the profiler's state alongside the engine's, and restore()
     # rehydrates a *fresh* profiler from it.  Per-thread delay bookkeeping
-    # (coz_local / coz_excess) lives in VThread.prof and is carried by the
-    # engine-side thread overlays, not here.
+    # lives in the VThread.coz_local / coz_excess slots and is carried by
+    # the engine-side thread overlays, not here.
 
     def snapshot_state(self):
         from repro.sim.snapshot import SnapshotError

@@ -36,10 +36,6 @@ from typing import Iterable, Optional
 from repro.sim.hooks import AuditHook
 from repro.sim.thread import VThread
 
-_LOCAL = "coz_local"
-_EXCESS = "coz_excess"
-
-
 class DelayEngine:
     """Counter-based delay coordination for one experiment at a time."""
 
@@ -71,7 +67,7 @@ class DelayEngine:
         self.global_count = 0
         threads = list(threads)
         for t in threads:
-            t.prof[_LOCAL] = 0
+            t.coz_local = 0
         if self.auditor is not None:
             self.auditor.on_delay_begin(self, delay_ns, threads)
 
@@ -95,7 +91,7 @@ class DelayEngine:
         """
         if not self.active or hits <= 0:
             return self.reconcile(thread)
-        thread.prof[_LOCAL] = thread.prof.get(_LOCAL, 0) + hits
+        thread.coz_local += hits
         if self.auditor is not None:
             self.auditor.on_delay_hits(thread, hits)
         if not self.minimal:
@@ -113,7 +109,7 @@ class DelayEngine:
         """Catch a thread up with the global count; returns pause ns."""
         if not self.active:
             return 0
-        local = thread.prof.get(_LOCAL, 0)
+        local = thread.coz_local
         if local > self.global_count:
             self.global_count = local
             return 0
@@ -121,7 +117,7 @@ class DelayEngine:
             return 0
         count_delta = self.global_count - local
         required = count_delta * self.delay_ns
-        thread.prof[_LOCAL] = self.global_count
+        thread.coz_local = self.global_count
         pause = self._apply_excess(thread, required)
         if self.auditor is not None:
             self.auditor.on_delay_pause(thread, count_delta, required, pause)
@@ -130,8 +126,8 @@ class DelayEngine:
     def credit(self, thread: VThread) -> None:
         """Thread was woken by a peer: its waker already paid the delays."""
         if self.active:
-            count_delta = self.global_count - thread.prof.get(_LOCAL, 0)
-            thread.prof[_LOCAL] = self.global_count
+            count_delta = self.global_count - thread.coz_local
+            thread.coz_local = self.global_count
             if self.auditor is not None:
                 self.auditor.on_delay_credit(thread, count_delta)
 
@@ -141,38 +137,38 @@ class DelayEngine:
         if not self.active:
             return
         if parent is not None:
-            child.prof[_LOCAL] = parent.prof.get(_LOCAL, 0)
+            child.coz_local = parent.coz_local
         else:
-            child.prof[_LOCAL] = self.global_count
+            child.coz_local = self.global_count
         if self.auditor is not None:
-            self.auditor.on_delay_inherit(child, child.prof[_LOCAL])
+            self.auditor.on_delay_inherit(child, child.coz_local)
 
     def local_count(self, thread: VThread) -> int:
         """A thread's local delay count (diagnostics/audit)."""
-        return thread.prof.get(_LOCAL, 0)
+        return thread.coz_local
 
     # -- nanosleep excess ----------------------------------------------------------
 
     def outstanding_excess_ns(self, threads: Iterable[VThread]) -> int:
         """Total nanosleep overshoot inserted but not yet compensated."""
-        return sum(t.prof.get(_EXCESS, 0) for t in threads)
+        return sum(t.coz_excess for t in threads)
 
     def max_outstanding_excess_ns(self, threads: Iterable[VThread]) -> int:
         """Largest per-thread uncompensated overshoot (critical-path share)."""
-        return max((t.prof.get(_EXCESS, 0) for t in threads), default=0)
+        return max((t.coz_excess for t in threads), default=0)
 
     def _apply_excess(self, thread: VThread, required: int) -> int:
         """Adjust a required pause for previously-overshot sleeps."""
         self.total_required_ns += required
-        excess = thread.prof.get(_EXCESS, 0)
+        excess = thread.coz_excess
         if excess >= required:
-            thread.prof[_EXCESS] = excess - required
+            thread.coz_excess = excess - required
             return 0
         pause = required - excess
-        thread.prof[_EXCESS] = 0
+        thread.coz_excess = 0
         if self.jitter_ns > 0:
             overshoot = self._rng.randrange(self.jitter_ns + 1)
-            thread.prof[_EXCESS] = overshoot
+            thread.coz_excess = overshoot
             pause += overshoot
         self.total_inserted_ns += pause
         return pause

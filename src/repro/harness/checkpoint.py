@@ -23,15 +23,19 @@ Storage is two-level:
   files side by side rather than purging them.
 
 :func:`execute_run` is the single entry point the executor uses: resume
-from a supplied or stored snapshot when possible, fall back to a cold run
+from the stored snapshot when there is one, fall back to a cold run
 (rebuilding the program from scratch — a partially-replayed program has
-dirty closures), and record fresh checkpoints on the way through.
+dirty closures), and record fresh checkpoints on the way through.  A run
+task carries only its session's :class:`CheckpointStore` (a fingerprint
+and a directory name), never a snapshot: whichever process executes the
+task does the one lookup, in its own memory first and then on disk.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import pickle
 import warnings
@@ -49,20 +53,18 @@ from repro.storage import LRU, write_once
 
 __all__ = [
     "CheckpointStore",
-    "SnapshotRef",
-    "SnapshotWire",
     "checkpoint_fingerprint",
     "execute_run",
-    "resolve_shipped",
     "clear_memory_cache",
 ]
 
 _MEMORY_CAP = 64
 
 #: process-global LRU of deepest checkpoints, keyed (fingerprint, seed).
-#: Pool workers forked from a warm parent inherit this populated — the
-#: parallel executor ships :class:`SnapshotRef` markers instead of payloads
-#: whenever that is the case, so warm fan-out costs no snapshot bytes.
+#: Pool workers forked from a warm parent inherit this populated, so their
+#: store lookups hit without a snapshot byte crossing the pool boundary.
+#: Workers started any other way (spawn, forkserver) begin empty and read
+#: the cache directory, or run cold when the session has none.
 _MEMORY = LRU(_MEMORY_CAP)
 
 
@@ -101,8 +103,11 @@ class CheckpointStore:
     """Deepest-checkpoint store for one run fingerprint.
 
     ``get``/``put`` address snapshots by seed; the fingerprint is fixed at
-    construction.  All disk failures degrade to warnings — a checkpoint
-    store must never be able to fail a profiling session.
+    construction.  A store is only an address — fingerprint and cache
+    directory — over the process-global LRU and the content-addressed
+    files, so it rides in a pickled run task for a few dozen bytes.  All
+    disk failures degrade to warnings — a checkpoint store must never be
+    able to fail a profiling session.
     """
 
     def __init__(self, key: str, directory: Optional[str] = None) -> None:
@@ -156,114 +161,12 @@ class CheckpointStore:
         return snap
 
 
-# ------------------------------------------------------- snapshot shipping
-
-
-class SnapshotRef:
-    """Zero-payload stand-in for a snapshot a pool worker already has.
-
-    On fork platforms, workers inherit the parent's populated
-    :data:`_MEMORY` at pool-creation time, so shipping the snapshot again
-    is pure waste — the parallel executor sends this (fingerprint, seed)
-    marker instead.  Resolution misses (LRU eviction raced the fork, or an
-    exotic start method) degrade to the task's disk store or a cold run,
-    both bit-identical.
-    """
-
-    __slots__ = ("key", "seed")
-
-    def __init__(self, key: str, seed: int) -> None:
-        self.key = key
-        self.seed = seed
-
-    def __getstate__(self):
-        return (self.key, self.seed)
-
-    def __setstate__(self, state):
-        self.key, self.seed = state
-
-    def resolve(self, store: Optional[CheckpointStore] = None):
-        snap = _MEMORY.get((self.key, self.seed))
-        if snap is not None:
-            return snap
-        if store is not None:
-            return store.get(self.seed)
-        return None
-
-
-class SnapshotWire:
-    """Pre-encoded snapshot bytes for boundaries that cannot inherit memory.
-
-    The parent encodes once (:meth:`EngineSnapshot.to_bytes`); every
-    pickle of the wrapper afterwards is a plain bytes copy, and the worker
-    decodes once per (fingerprint, seed) into the process-global memory
-    cache, so batch retries and later tasks hit it warm.
-    """
-
-    __slots__ = ("key", "seed", "blob")
-
-    def __init__(self, blob: bytes, key: Optional[str] = None, seed: int = 0) -> None:
-        self.blob = blob
-        self.key = key
-        self.seed = seed
-
-    def __getstate__(self):
-        return (self.blob, self.key, self.seed)
-
-    def __setstate__(self, state):
-        self.blob, self.key, self.seed = state
-
-    @classmethod
-    def from_snapshot(
-        cls, snap: EngineSnapshot, key: Optional[str] = None, seed: int = 0
-    ) -> "SnapshotWire":
-        return cls(snap.to_bytes(), key=key, seed=seed)
-
-    def resolve(self, store: Optional[CheckpointStore] = None):
-        if self.key is not None:
-            cached = _MEMORY.get((self.key, self.seed))
-            if cached is not None:
-                return cached
-        try:
-            snap = EngineSnapshot.from_bytes(self.blob)
-        except SnapshotError as exc:
-            warnings.warn(
-                f"discarding unreadable shipped snapshot ({exc})",
-                CheckpointCacheWarning,
-                stacklevel=3,
-            )
-            return store.get(self.seed) if store is not None else None
-        if self.key is not None:
-            _MEMORY.put((self.key, self.seed), snap)
-        return snap
-
-
-def resolve_shipped(obj, store: Optional[CheckpointStore] = None):
-    """Turn whatever rode in ``RunTask.snapshot`` into a live snapshot.
-
-    Accepts ``None``, a live :class:`EngineSnapshot`, or either shipping
-    wrapper; returns a snapshot or ``None`` (cold run).  The task's store
-    is the fallback for unresolvable refs.
-    """
-    if obj is None or isinstance(obj, EngineSnapshot):
-        return obj
-    if isinstance(obj, (SnapshotRef, SnapshotWire)):
-        return obj.resolve(store)
-    return None
-
-
-def snapshot_in_memory(key: str, seed: int) -> bool:
-    """True when the process-global cache holds this (fingerprint, seed)."""
-    return (key, seed) in _MEMORY
-
-
 # ------------------------------------------------------------ orchestration
 
 
 def execute_run(
     build: Callable[[], Tuple[Any, Any, Any]],
     seed: int,
-    snapshot: Optional[EngineSnapshot] = None,
     store: Optional[CheckpointStore] = None,
 ):
     """Execute one run warm if possible, cold (and recording) otherwise.
@@ -273,12 +176,15 @@ def execute_run(
     because the snapshot replay partially re-executes the program's
     generators and a dirtied program cannot simply be rerun.
 
+    A pool worker whose store has no cache directory looks its snapshot up
+    but records none: its in-memory cache dies with the process, so a
+    capture there is pure overhead.
+
     Returns ``(RunResult, profiler_hook)`` — the hook actually used, which
     on the warm path carries the restored profile state.
     """
     program, profiler, run_config = build()
-    if snapshot is None and store is not None:
-        snapshot = store.get(seed)
+    snapshot = store.get(seed) if store is not None else None
     if snapshot is not None:
         try:
             result = program.resume(snapshot, hook=profiler, config=run_config)
@@ -290,7 +196,9 @@ def execute_run(
                 stacklevel=2,
             )
             program, profiler, run_config = build()
-    if store is None:
+    if store is None or (
+        store.directory is None and multiprocessing.parent_process() is not None
+    ):
         return program.run(hook=profiler, config=run_config), profiler
     recorder = Recorder()
     try:

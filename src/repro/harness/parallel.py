@@ -71,7 +71,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import CozConfig
 from repro.core.profile_data import ProfileData, RunFailure
@@ -79,6 +79,9 @@ from repro.core.profiler import CausalProfiler
 from repro.sim.errors import SimulationError, WorkerCrashError, WorkerHungError
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.program import Program, RunResult
+
+if TYPE_CHECKING:
+    from repro.harness.checkpoint import CheckpointStore
 
 #: cancelled futures raise this; BaseException on modern Pythons, so a bare
 #: ``except Exception`` would miss it after a pool termination
@@ -192,7 +195,8 @@ class RunTask:
     recipe; with ``coz_config=None`` it is a plain (unprofiled) run, as
     used by the comparison and overhead harnesses.  ``faults`` carries the
     session's :class:`~repro.sim.faults.FaultPlan` into the run (sim-level
-    faults) and the worker (kill/hang faults).
+    faults) and the worker (kill/hang faults).  A task holds no snapshot,
+    so it pickles for a pool worker in about a kilobyte or less.
     """
 
     index: int
@@ -206,16 +210,10 @@ class RunTask:
     latency_specs: Tuple = ()
     #: fault-injection plan for this run (``None`` = no injection)
     faults: Optional[FaultPlan] = None
-    #: checkpoint fast-forward (repro.harness.checkpoint): resume this run
-    #: from a stored snapshot when one exists, record one when it doesn't
-    checkpoint: bool = False
-    #: canonical run fingerprint the checkpoint store is keyed by
-    checkpoint_key: Optional[str] = None
-    #: shared on-disk checkpoint cache (workers read and populate it)
-    checkpoint_dir: Optional[str] = None
-    #: prefix snapshot shipped from the parent's store, so fan-out cost
-    #: does not scale with warmup length (workers skip the store lookup)
-    snapshot: Optional[object] = field(default=None, repr=False)
+    #: checkpoint fast-forward: the session's store (``None`` = run cold,
+    #: record nothing).  The process that executes the task looks the
+    #: run's snapshot up in it; the task never carries a snapshot
+    checkpoint: Optional[CheckpointStore] = None
 
 
 @dataclass
@@ -311,26 +309,6 @@ def _resolve_factory(task: RunTask):
     return task.program_factory, task.progress_points, task.latency_specs
 
 
-def _checkpoint_store(task: RunTask):
-    """The task's checkpoint store, or ``None`` when it cannot help.
-
-    Workers without a shared cache directory skip the store entirely: their
-    in-memory cache dies with the process, so recording there is pure
-    overhead (a shipped ``task.snapshot`` still resumes them warm).  A
-    store is only a (fingerprint, directory) address over the
-    process-global snapshot LRU and content-addressed files, so building
-    one per task costs nothing worth caching.
-    """
-    if not task.checkpoint or task.checkpoint_key is None:
-        return None
-    in_worker = multiprocessing.parent_process() is not None
-    if in_worker and task.checkpoint_dir is None:
-        return None
-    from repro.harness.checkpoint import CheckpointStore
-
-    return CheckpointStore(task.checkpoint_key, directory=task.checkpoint_dir)
-
-
 def _run_task(task: RunTask, keep_objects: bool = False) -> RunOutput:
     """Execute one run; mirrors the serial loop body exactly.
 
@@ -357,16 +335,10 @@ def _run_task(task: RunTask, keep_objects: bool = False) -> RunOutput:
         return program, profiler, run_config
 
     try:
-        if task.checkpoint and task.coz_config is not None:
-            from repro.harness.checkpoint import execute_run, resolve_shipped
+        if task.checkpoint is not None and task.coz_config is not None:
+            from repro.harness.checkpoint import execute_run
 
-            store = _checkpoint_store(task)
-            result, profiler = execute_run(
-                build,
-                task.seed,
-                snapshot=resolve_shipped(task.snapshot, store),
-                store=store,
-            )
+            result, profiler = execute_run(build, task.seed, task.checkpoint)
         else:
             program, profiler, run_config = build()
             result = program.run(hook=profiler, config=run_config)
@@ -461,51 +433,18 @@ def _warn(message: str) -> None:
     warnings.warn(message, ParallelExecutionWarning, stacklevel=3)
 
 
-#: cached picklability verdicts, keyed by task *shape* — the fields whose
-#: types decide picklability (the app reference / factory), not per-run
-#: payloads.  Bounded; cleared wholesale at the cap.
-_PROBE_CACHE: Dict[Any, bool] = {}
-_PROBE_CACHE_CAP = 128
-
-
-def clear_probe_cache() -> None:
-    """Forget cached picklability verdicts (tests)."""
-    _PROBE_CACHE.clear()
-
-
-def _probe_shape(task: RunTask) -> Any:
-    """Hashable shape key for the probe cache, or ``None`` if unkeyable."""
-    try:
-        key = (task.app_ref, task.program_factory)
-        hash(key)
-        return key
-    except TypeError:
-        return None
-
-
 def _picklable(task: RunTask) -> bool:
-    """One cheap probe per task *shape*, not one ``pickle.dumps`` per task.
+    """Whether ``task`` can cross a process boundary.
 
-    Historically every task — snapshot payload included — was pickled once
-    here and a second time at submission, doubling the serialization bill
-    of a warm session.  Picklability is a property of the task's shape
-    (which factory/app reference it carries), so the verdict is cached per
-    shape and the probe itself drops the snapshot: shipped snapshots are
-    wrapped in always-picklable byte/ref containers by the submit path.
+    Pickles the task itself: it holds no snapshot, only plain fields and
+    a checkpoint-store address, so this costs tens of microseconds per
+    task.  Closure-based program factories fail it.
     """
-    shape = _probe_shape(task)
-    if shape is not None and shape in _PROBE_CACHE:
-        return _PROBE_CACHE[shape]
     try:
-        pickle.dumps(replace(task, snapshot=None))
-        verdict = True
+        pickle.dumps(task)
     except (pickle.PicklingError, AttributeError, TypeError):
-        verdict = False
-    if shape is not None:
-        if len(_PROBE_CACHE) >= _PROBE_CACHE_CAP:
-            _PROBE_CACHE.clear()
-        _PROBE_CACHE[shape] = verdict
-    return verdict
+        return False
+    return True
 
 
 #: auto batch sizing: a worker should see a handful of batches (so the
@@ -644,12 +583,6 @@ class _PoolSession:
         self._task_batch: Dict[int, int] = {}
         for i in range(0, len(tasks), max(1, batch_size)):
             self._new_batch(tasks[i:i + batch_size])
-        #: submit-side task forms: snapshots swapped for refs/byte wrappers
-        self._wired: Dict[int, RunTask] = {}
-        try:
-            self._fork_workers = multiprocessing.get_start_method() == "fork"
-        except Exception:  # pragma: no cover - exotic platforms
-            self._fork_workers = False
 
     def _new_batch(self, tasks: List[RunTask]) -> RunBatch:
         batch = RunBatch(bid=self._next_bid, tasks=tasks)
@@ -670,50 +603,10 @@ class _PoolSession:
         self.futures.pop(batch.bid, None)
         return [self._new_batch(g) for g in groups if g]
 
-    def _wire_task(self, task: RunTask) -> RunTask:
-        """The submit-side form of a task: never ships a live snapshot.
-
-        Fork-started workers inherit the parent's in-memory checkpoint
-        cache, so a snapshot that is in it travels as a zero-payload
-        :class:`~repro.harness.checkpoint.SnapshotRef`; otherwise it is
-        pre-encoded once into a byte wrapper that every resubmission
-        reuses.  Cached per task for the session's lifetime.
-        """
-        wired = self._wired.get(task.index)
-        if wired is not None:
-            return wired
-        snap = task.snapshot
-        from repro.harness.checkpoint import (
-            SnapshotRef,
-            SnapshotWire,
-            snapshot_in_memory,
-        )
-        from repro.sim.snapshot import EngineSnapshot
-
-        if snap is None or not isinstance(snap, EngineSnapshot):
-            wired = task
-        elif (
-            self._fork_workers
-            and task.checkpoint_key is not None
-            and snapshot_in_memory(task.checkpoint_key, task.seed)
-        ):
-            wired = replace(
-                task, snapshot=SnapshotRef(task.checkpoint_key, task.seed)
-            )
-        else:
-            wired = replace(
-                task,
-                snapshot=SnapshotWire.from_snapshot(
-                    snap, key=task.checkpoint_key, seed=task.seed
-                ),
-            )
-        self._wired[task.index] = wired
-        return wired
-
     def submit(self, batch: RunBatch) -> None:
         self.futures[batch.bid] = self.pool.submit(
             _run_batch_in_worker,
-            [self._wire_task(t) for t in batch.tasks],
+            batch.tasks,
             [self.attempts[t.index] for t in batch.tasks],
             self.deadline_monotonic,
         )

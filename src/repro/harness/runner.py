@@ -201,8 +201,8 @@ def run_profile_session(
     # Checkpoint fast-forward: only registry-referenced apps have a stable
     # identity to key the store by, and audited sessions always run cold
     # (the auditor keeps shadow books the snapshot cannot carry).  The
-    # store opens here, in the parent, so a stale on-disk cache warns (and
-    # is invalidated) at session start rather than deep inside a worker.
+    # store is only an address (fingerprint, cache directory), so every
+    # run task carries this one object.
     store = None
     if (
         execution.checkpoint
@@ -218,24 +218,17 @@ def run_profile_session(
         # Directed runs carry a one-off config (fixed line + probe
         # schedule) whose checkpoint fingerprint no later run would ever
         # hit, so they always simulate cold; free runs share the session
-        # store exactly as before.
-        seed = request.base_seed + plan.index
-        use_store = store is not None and not plan.is_directed
+        # store, and whichever process executes the run looks it up.
         return RunTask(
             index=plan.index,
-            seed=seed,
+            seed=request.base_seed + plan.index,
             coz_config=plan.apply(coz_config),
             app_ref=spec.registry_ref,
             program_factory=None if spec.registry_ref is not None else spec.build,
             progress_points=tuple(spec.progress_points),
             latency_specs=tuple(spec.latency_specs),
             faults=resilience.faults,
-            checkpoint=use_store,
-            checkpoint_key=store.key if use_store else None,
-            checkpoint_dir=store.directory if use_store else None,
-            # ship the prefix snapshot with the task: workers resume warm
-            # without a store round-trip, and the transfer happens once
-            snapshot=store.get(seed) if use_store else None,
+            checkpoint=None if plan.is_directed else store,
         )
 
     journal: Optional[SessionJournal] = None

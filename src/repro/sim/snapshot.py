@@ -49,7 +49,7 @@ import pickle
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim import ops as O
@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 #: bump whenever the capture layout changes; restore refuses other versions
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 #: first checkpoint-grid point (virtual ns)
 DEFAULT_GRID_FIRST_NS = MS(10)
@@ -123,13 +123,13 @@ class EngineSnapshot:
 
     The op log to replay is the recorder's :class:`~repro.sim.engine.OpLog`
     in serialized form: the first ``n_ids`` thread ids of ``ids`` and the
-    ``specials`` logged before the capture, their send values as
-    descriptors.  ``ids`` is *shared* between all snapshots taken by one
-    recorder and keeps growing after the capture, so a geometric grid of
-    checkpoints costs O(total ops), not O(ops × grid); pickling keeps only
-    the snapshot's own prefix.  The structure contains only plain data
-    (ints, strings, tuples, arrays, SourceLines, Samples), so it pickles
-    cleanly for the on-disk cache and for shipping to parallel workers.
+    first ``n_specials`` entries of ``specials``, their send values as
+    descriptors.  Both columns are *shared* between all snapshots taken by
+    one recorder and keep growing after the capture, so a geometric grid
+    of checkpoints costs O(total ops), not O(ops × grid); replay reads and
+    pickling keeps only the snapshot's own prefixes.  The structure
+    contains only plain data (ints, strings, tuples, arrays, SourceLines,
+    Samples), so it pickles cleanly for the on-disk cache.
     """
 
     version: int
@@ -137,7 +137,8 @@ class EngineSnapshot:
     when: int                     # virtual time of capture
     n_ids: int                    # replay prefix length into ids
     ids: array                    # op-log id column (shared, see above)
-    specials: Tuple[tuple, ...]   # serialized special entries
+    n_specials: int               # replay prefix length into specials
+    specials: List[tuple]         # special entries (shared, see above)
     threads: List[dict]           # per-tid engine-owned overlays
     sync: List[tuple]             # (type_name, state) per registered primitive
     heap: List[tuple]             # event heap verbatim, threads/timers by ref
@@ -155,14 +156,15 @@ class EngineSnapshot:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["ids"] = self.ids[: self.n_ids]
+        state["specials"] = self.specials[: self.n_specials]
         return state
 
     def to_bytes(self) -> bytes:
-        """Versioned byte container for shipping/storing this snapshot.
+        """Versioned byte container for storing this snapshot.
 
-        Used by the checkpoint store's disk files and by the parallel
-        executor when a snapshot must cross a process boundary that cannot
-        inherit it (non-fork start methods).  The payload is a pickle —
+        The checkpoint store's disk files are its one user: a snapshot
+        reaches a pool worker through the worker's own store lookup,
+        never inside a run task.  The payload is a pickle —
         the structure is plain data by construction — behind a
         :func:`repro.storage.frame` header and a u32 snapshot layout
         version, so readers can reject foreign or future layouts without
@@ -319,7 +321,8 @@ class Recorder:
             when=engine.now,
             n_ids=len(log.ids),
             ids=log.ids,
-            specials=tuple(specials),
+            n_specials=len(specials),
+            specials=specials,
             threads=[self._thread_state(t, engine) for t in engine.threads],
             sync=[self._sync_state(obj) for obj in log.sync],
             heap=[self._heap_entry(ev, engine) for ev in engine._heap],
@@ -381,7 +384,8 @@ class Recorder:
             "pending_pause_ns": t.pending_pause_ns,
             "pending_cpu_ns": t.pending_cpu_ns,
             "stack": tuple((f.func, f.callsite) for f in t.stack),
-            "prof": dict(t.prof),
+            "coz_local": t.coz_local,
+            "coz_excess": t.coz_excess,
             "joiners": tuple(j.tid for j in t.joiners),
         }
 
@@ -549,7 +553,8 @@ def _replay(
     try:
         # a sentinel special closes the last slice
         for pos, tag, who, value in chain(
-            snapshot.specials, ((n_ids, None, 0, None),)
+            islice(snapshot.specials, snapshot.n_specials),
+            ((n_ids, None, 0, None),),
         ):
             if not done <= pos <= n_ids:
                 raise SnapshotError(
@@ -721,7 +726,8 @@ def _overlay_threads(
         t.pending_cpu_ns = d["pending_cpu_ns"]
         t.stack = [O.push_frame(func, callsite) for (func, callsite) in d["stack"]]
         t.chain_cache = None
-        t.prof = dict(d["prof"])
+        t.coz_local = d["coz_local"]
+        t.coz_excess = d["coz_excess"]
         t.joiners = [threads[j] for j in d["joiners"]]
 
 

@@ -2,15 +2,15 @@
 
 A :class:`VThread` wraps a generator coroutine plus all scheduler state the
 engine needs: run state, the operation currently being executed, per-thread
-CPU-time clock, the call stack used for sample attribution, and a scratch
-namespace (`prof`) that the active profiler hook owns (Coz stores its local
-delay counter and excess-pause bookkeeping there).
+CPU-time clock, the call stack used for sample attribution, and Coz's two
+per-thread delay counters (`coz_local`, `coz_excess`), which the profiler's
+:class:`~repro.core.speedup.DelayEngine` owns.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
 from repro.sim.ops import PushFrame
 from repro.sim.sampler import ColumnarBuf
@@ -40,7 +40,8 @@ class VThread:
         "blocked_on",
         "cpu_ns", "profiler_cpu_ns", "pause_ns", "sample_accum",
         "sample_buffer", "pending_pause_ns", "pending_cpu_ns",
-        "stack", "chain_cache", "prof", "joiners", "exit_value",
+        "stack", "chain_cache", "coz_local", "coz_excess", "joiners",
+        "exit_value",
     )
 
     #: fallback tid source for threads constructed outside an engine (tests);
@@ -120,9 +121,11 @@ class VThread:
         #: activity line or the frame stack changes
         self.chain_cache: Optional[Tuple[SourceLine, ...]] = None
 
-        # --- profiler scratch space -------------------------------------------
-        #: owned by the installed ProfilerHook (e.g. Coz's local delay count)
-        self.prof: Dict[str, Any] = {}
+        # --- Coz delay counters (owned by core.speedup.DelayEngine) ------------
+        #: pauses this thread executed or was credited (its local count)
+        self.coz_local: int = 0
+        #: nanosleep overshoot not yet subtracted from a later pause
+        self.coz_excess: int = 0
 
         # --- lifecycle ---------------------------------------------------------
         self.joiners: List["VThread"] = []

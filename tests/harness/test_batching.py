@@ -2,8 +2,8 @@
 
 Covers the executor's :class:`~repro.harness.parallel.RunBatch` unit:
 auto-sizing, bit-identity across batch sizes, split-on-poison retry, the
-one-shot picklability probe, and the process-global worker caches
-(registry spec memoization).
+picklability check, and the process-global worker caches (registry spec
+memoization).
 """
 
 import multiprocessing
@@ -17,11 +17,7 @@ from repro.apps import registry
 from repro.apps.example import build_example
 from repro.core.config import CozConfig
 from repro.harness import parallel
-from repro.harness.parallel import (
-    ParallelExecutionWarning,
-    auto_batch_size,
-    clear_probe_cache,
-)
+from repro.harness.parallel import ParallelExecutionWarning, auto_batch_size
 from repro.harness.request import ExecutionConfig, ProfileRequest
 from repro.harness.runner import profile_app, run_profile_session
 from repro.sim.clock import MS
@@ -185,31 +181,9 @@ def test_worker_killed_mid_batch_still_completes(injected_app):
     assert len(out.data.runs) == 4
 
 
-# -- picklability probe ------------------------------------------------------------
-
-def test_picklability_probed_once_per_task_shape(monkeypatch):
-    calls = []
-    real_dumps = pickle.dumps
-
-    def counting_dumps(obj, *args, **kwargs):
-        calls.append(obj)
-        return real_dumps(obj, *args, **kwargs)
-
-    clear_probe_cache()
-    monkeypatch.setattr(parallel.pickle, "dumps", counting_dumps)
-    spec = registry.build("example", rounds=20)
-    cfg = _small_cfg(spec.scope)
-    profile_app(spec, runs=3, coz_config=cfg, jobs=2)
-    probes_first = len(calls)
-    # the whole session probes one representative task, not one per run
-    assert probes_first <= 1
-    profile_app(registry.build("example", rounds=20), runs=3, coz_config=cfg, jobs=2)
-    # a second session with the same task shape hits the probe cache
-    assert len(calls) == probes_first
-
+# -- picklability ------------------------------------------------------------------
 
 def test_unpicklable_factory_still_degrades_to_serial():
-    clear_probe_cache()
     spec = build_example(rounds=20)
     assert spec.registry_ref is None
     cfg = _small_cfg(spec.scope)
@@ -246,9 +220,9 @@ def test_cached_build_memoizes_and_invalidates():
 
 # -- dispatch payload --------------------------------------------------------------
 
-#: pickled bytes a warm pool session may ship per run: task, config and a
-#: snapshot reference, never the snapshot itself (about 560 B/run today;
-#: a shipped ferret snapshot is about 240 KB/run)
+#: pickled bytes a warm pool session may ship per run: the task, its
+#: config and the checkpoint store's address (fingerprint and cache
+#: directory), never a snapshot (a ferret snapshot is about 240 KB)
 DISPATCH_BYTES_PER_RUN_BUDGET = 2048
 
 #: pickled bytes a warm pool session may ship home per run: the run
@@ -281,21 +255,16 @@ def _warm_ferret_session(monkeypatch, measuring_submit):
     assert warm.data == cold.data
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="snapshot references need fork-started workers",
-)
 def test_warm_dispatch_payload_within_budget(monkeypatch):
-    """A warm parallel session ships each worker a reference to the
-    cached snapshot, not the snapshot: the bytes handed to the pool are
-    a counter, the same on any machine.  The batch count is not gated;
-    it depends on the usable cores."""
+    """A warm parallel session ships each worker its tasks, which name
+    the checkpoint store but carry no snapshot: the bytes handed to the
+    pool are a counter, the same on any machine.  The batch count is not
+    gated; it depends on the usable cores."""
     shipped = []
     real_submit = parallel._PoolSession.submit
 
     def measuring_submit(self, batch):
-        wired = [self._wire_task(t) for t in batch.tasks]
-        shipped.append(len(pickle.dumps(wired)))
+        shipped.append(len(pickle.dumps(batch.tasks)))
         return real_submit(self, batch)
 
     _warm_ferret_session(monkeypatch, measuring_submit)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from array import array
 from dataclasses import replace
@@ -21,6 +22,7 @@ from repro.harness.checkpoint import (
 )
 from repro.harness.request import ExecutionConfig
 from repro.harness.runner import ProfileRequest, run_profile_session
+from repro.sim.program import Program
 from repro.sim.snapshot import SNAPSHOT_VERSION, EngineSnapshot
 
 
@@ -38,7 +40,8 @@ def _dummy_snapshot(seed=0, when=0):
         when=when,
         n_ids=0,
         ids=array("I"),
-        specials=(),
+        n_specials=0,
+        specials=[],
         threads=[],
         sync=[],
         heap=[],
@@ -135,11 +138,18 @@ def test_corrupt_checkpoint_file_is_discarded_with_a_warning(tmp_path):
     d = str(tmp_path / "cache")
     store = CheckpointStore("key", directory=d)
     os.makedirs(d)  # the store creates its directory on the first put
-    with open(os.path.join(d, "key-5.ckpt"), "wb") as fh:
-        fh.write(b"not a pickle")
-    with pytest.warns(CheckpointCacheWarning, match="unreadable"):
-        assert store.get(5) is None
-    assert not os.path.exists(os.path.join(d, "key-5.ckpt"))
+    header = b"RSNP" + bytes([1]) + SNAPSHOT_VERSION.to_bytes(4, "little")
+    blobs = {
+        5: b"not a pickle",  # no container header at all
+        6: header + b"not a pickle",  # a valid header over a garbage pickle
+    }
+    for seed, blob in blobs.items():
+        with open(os.path.join(d, f"key-{seed}.ckpt"), "wb") as fh:
+            fh.write(blob)
+    for seed in blobs:
+        with pytest.warns(CheckpointCacheWarning, match="unreadable"):
+            assert store.get(seed) is None
+        assert not os.path.exists(os.path.join(d, f"key-{seed}.ckpt"))
 
 
 # -- execute_run -------------------------------------------------------------------
@@ -177,9 +187,10 @@ def test_execute_run_populates_then_resumes_identically():
 def test_execute_run_falls_back_cold_on_bad_snapshot():
     build = _builder(seed=8)
     cold, cold_prof = execute_run(build, 8)
-    bad = replace(_dummy_snapshot(8), version=99)
+    store = CheckpointStore("fp-bad")
+    store.put(8, replace(_dummy_snapshot(8), version=99))
     with pytest.warns(CheckpointCacheWarning, match="rerunning cold"):
-        warm, warm_prof = execute_run(build, 8, snapshot=bad)
+        warm, warm_prof = execute_run(build, 8, store=store)
     assert _result_key(warm, warm_prof) == _result_key(cold, cold_prof)
 
 
@@ -208,14 +219,46 @@ def test_checkpointed_session_matches_cold_session():
     assert warm.data == cold.data
 
 
-def test_parallel_session_resumes_from_disk_cache(tmp_path):
-    d = str(tmp_path / "cache")
+def _log_resume_pids(monkeypatch, path):
+    """Patch ``Program.resume`` to append the resuming process's pid to
+    ``path``; fork-started pool workers inherit the patch."""
+    real_resume = Program.resume
+
+    def resume(self, snapshot, hook=None, config=None):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_resume(self, snapshot, hook=hook, config=config)
+
+    monkeypatch.setattr(Program, "resume", resume)
+
+
+def test_parallel_session_resumes_from_disk_cache(tmp_path, monkeypatch):
+    """A warm ``jobs=2`` session resumes every run inside a pool worker,
+    in two cases: a cache directory with the memory cache cleared (the
+    workers read the files), and no directory at all (the workers read
+    the memory cache they inherited).  A cold run gives identical output,
+    so the test counts the resumes, not just the profile."""
     cold = _session(checkpoint=False)
-    _session(checkpoint=True, checkpoint_dir=d)  # populate (serial)
-    assert [f for f in os.listdir(d) if f.endswith(".ckpt")]
-    clear_memory_cache()
-    warm = _session(jobs=2, checkpoint=True, checkpoint_dir=d)
-    assert warm.data == cold.data
+    pid_log = tmp_path / "resume-pids"
+    _log_resume_pids(monkeypatch, pid_log)
+    d = str(tmp_path / "cache")
+    for checkpoint_dir in (d, None):
+        clear_memory_cache()
+        _session(checkpoint=True, checkpoint_dir=checkpoint_dir)  # populate
+        if checkpoint_dir is not None:
+            assert [f for f in os.listdir(d) if f.endswith(".ckpt")]
+            clear_memory_cache()
+        pid_log.write_text("")
+        warm = _session(jobs=2, checkpoint=True, checkpoint_dir=checkpoint_dir)
+        assert warm.data == cold.data
+        if multiprocessing.get_start_method() != "fork":
+            continue  # the patch and the memory cache reach forked workers only
+        pids = pid_log.read_text().split()
+        assert len(pids) == len(warm.data.runs), (
+            f"{len(pids)} of {len(warm.data.runs)} runs resumed "
+            f"(checkpoint_dir={checkpoint_dir!r})"
+        )
+        assert str(os.getpid()) not in pids, "a run resumed in the parent"
 
 
 # -- cross-process coordination ----------------------------------------------

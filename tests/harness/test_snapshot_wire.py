@@ -1,16 +1,12 @@
-"""Snapshot shipping across the pool boundary.
+"""The snapshot byte container.
 
-Covers the :class:`~repro.sim.snapshot.EngineSnapshot` byte container and
-the two submit-side wrappers the batched executor ships instead of live
-snapshots: :class:`~repro.harness.checkpoint.SnapshotRef` (zero-payload
-marker resolved against the fork-inherited in-memory cache) and
-:class:`~repro.harness.checkpoint.SnapshotWire` (pre-encoded bytes decoded
-once per worker).
+Covers :meth:`~repro.sim.snapshot.EngineSnapshot.to_bytes` /
+:meth:`~repro.sim.snapshot.EngineSnapshot.from_bytes`, the ``RSNP``
+format of the on-disk checkpoint cache.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -18,14 +14,7 @@ import pytest
 from repro.apps import registry
 from repro.core.config import CozConfig
 from repro.core.profiler import CausalProfiler
-from repro.harness.checkpoint import (
-    CheckpointStore,
-    SnapshotRef,
-    SnapshotWire,
-    clear_memory_cache,
-    resolve_shipped,
-    snapshot_in_memory,
-)
+from repro.harness.checkpoint import CheckpointStore, clear_memory_cache
 from repro.sim.snapshot import (
     SNAPSHOT_VERSION,
     EngineSnapshot,
@@ -82,6 +71,10 @@ def test_snapshot_bytes_rejects_bad_magic_and_versions():
         EngineSnapshot.from_bytes(bytes(layout))
     with pytest.raises(SnapshotError):
         EngineSnapshot.from_bytes(b"RS")  # truncated
+    # a valid header over a payload that does not unpickle
+    garbage = bytes(blob[:9]) + b"not a pickle"
+    with pytest.raises(SnapshotError, match="unreadable snapshot payload"):
+        EngineSnapshot.from_bytes(garbage)
 
 
 def test_snapshot_container_header_layout_is_pinned():
@@ -95,48 +88,6 @@ def test_snapshot_container_header_layout_is_pinned():
     assert EngineSnapshot.WIRE_MAGIC == b"RSNP" and EngineSnapshot.WIRE_VERSION == 1
     payload = pickle.loads(blob[9:])
     assert isinstance(payload, EngineSnapshot) and payload.when == snap.when
-
-
-# -- submit-side wrappers ----------------------------------------------------------
-
-def test_snapshot_wire_resolves_and_caches():
-    clear_memory_cache()
-    spec, snap = _snapshot()
-    wire = SnapshotWire.from_snapshot(snap, key="k1", seed=0)
-    assert not snapshot_in_memory("k1", 0)
-    resolved = wire.resolve()
-    assert isinstance(resolved, EngineSnapshot)
-    assert _resume_fingerprint(spec, resolved) == _resume_fingerprint(spec, snap)
-    # decoding memoizes: the same worker never decodes the blob twice
-    assert snapshot_in_memory("k1", 0)
-    assert wire.resolve() is resolved
-
-
-def test_snapshot_ref_resolves_from_memory_or_returns_none():
-    clear_memory_cache()
-    spec, snap = _snapshot()
-    ref = SnapshotRef("k2", 0)
-    assert ref.resolve() is None  # nothing cached: caller runs cold
-    SnapshotWire.from_snapshot(snap, key="k2", seed=0).resolve()
-    assert ref.resolve() is not None
-
-
-def test_corrupt_wire_blob_degrades_to_cold(recwarn):
-    clear_memory_cache()
-    wire = SnapshotWire("k3", 0, b"RSNPgarbage-that-will-not-decode")
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        assert wire.resolve() is None  # cold run, not a crash
-
-
-def test_resolve_shipped_passthrough_and_unwrap():
-    clear_memory_cache()
-    spec, snap = _snapshot()
-    assert resolve_shipped(None) is None
-    assert resolve_shipped(snap) is snap
-    wire = SnapshotWire.from_snapshot(snap, key="k4", seed=0)
-    assert isinstance(resolve_shipped(wire), EngineSnapshot)
-    assert resolve_shipped(SnapshotRef("k4", 0)) is not None
 
 
 def test_disk_store_round_trips_byte_container(tmp_path):

@@ -173,7 +173,7 @@ def test_replay_opcodes_per_entry_within_budget():
         restore(snapshot, program)
     finally:
         sys.settrace(previous)
-    entries = snapshot.n_ids + len(snapshot.specials)
+    entries = snapshot.n_ids + snapshot.n_specials
     ratio = opcodes / entries
     assert ratio <= REPLAY_OPCODES_PER_ENTRY_BUDGET, (
         f"{ratio:.1f} opcodes in snapshot.py per replayed op-log entry "
@@ -182,7 +182,7 @@ def test_replay_opcodes_per_entry_within_budget():
 
 
 def _pickled_bytes_per_entry(snapshot):
-    return len(pickle.dumps(snapshot)) / (snapshot.n_ids + len(snapshot.specials))
+    return len(pickle.dumps(snapshot)) / (snapshot.n_ids + snapshot.n_specials)
 
 
 def test_snapshot_bytes_per_entry_within_budget():

@@ -6,7 +6,7 @@ session resumed from any mid-run checkpoint must produce exactly the run
 result and profiler wire bytes the cold execution produces — at arbitrary
 event boundaries, with an active :class:`~repro.sim.faults.FaultPlan`, with
 pending stuck-lock detector timers, and across a pickle round trip (the
-parallel executor ships snapshots to workers pickled).
+on-disk checkpoint cache stores snapshots pickled).
 """
 
 from __future__ import annotations
@@ -67,6 +67,20 @@ def _resume(spec, snapshot, seed, config=None):
     return result, prof
 
 
+#: programs the boundary property runs on, with the capture instants as
+#: fractions of the run: the example app, and a small memcached whose
+#: spin-locks log special entries all through the run (its first half is
+#: the profiler's start-up pause, in which no event happens)
+_BOUNDARY_APPS = (
+    ("example", {"rounds": 40}, (0.1, 0.25, 0.5, 0.75, 0.9)),
+    (
+        "memcached",
+        {"n_clients": 8, "n_workers": 4, "n_requests": 1500},
+        (0.55, 0.65, 0.75, 0.85, 0.95),
+    ),
+)
+
+
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_resume_is_bit_identical_at_arbitrary_event_boundaries(seed):
     """Property: for any capture instant, resume == cold, bit for bit.
@@ -74,23 +88,30 @@ def test_resume_is_bit_identical_at_arbitrary_event_boundaries(seed):
     The grid instants land between whatever events happen to straddle
     them, so each snapshot exercises a different arbitrary boundary:
     threads mid-chunk, blocked in locks/queues, samples half-batched,
-    experiments in flight.
+    experiments in flight.  The snapshots of one recorder share its op
+    log, which keeps growing after each capture, so every shallow
+    snapshot also checks that replay reads only its own prefix.
     """
-    # learn the run length, then spread capture points across it
-    spec, program, cold_prof = _build("example", seed, rounds=40)
-    cold = program.run(hook=cold_prof)
-    grid = [int(cold.runtime_ns * f) for f in (0.1, 0.25, 0.5, 0.75, 0.9)]
-    spec, result, prof, recorder = _cold_with_snapshots(
-        "example", seed, grid, rounds=40
-    )
-    want = _fingerprint(result, prof)
-    assert want == _fingerprint(cold, cold_prof)
-    assert len(recorder.snapshots) == len(grid)
-    for snap in recorder.snapshots:
-        warm, warm_prof = _resume(spec, snap, seed)
-        assert _fingerprint(warm, warm_prof) == want, (
-            f"resume from t={snap.when} diverged from the cold run"
+    for app, kwargs, fractions in _BOUNDARY_APPS:
+        # learn the run length, then spread capture points across it
+        spec, program, cold_prof = _build(app, seed, **kwargs)
+        cold = program.run(hook=cold_prof)
+        grid = [int(cold.runtime_ns * f) for f in fractions]
+        spec, result, prof, recorder = _cold_with_snapshots(
+            app, seed, grid, **kwargs
         )
+        want = _fingerprint(result, prof)
+        assert want == _fingerprint(cold, cold_prof)
+        assert len(recorder.snapshots) == len(grid)
+        shallow = recorder.snapshots[0]
+        assert len(shallow.specials) > shallow.n_specials, (
+            f"{app}: no special entry was logged after the first capture"
+        )
+        for snap in recorder.snapshots:
+            warm, warm_prof = _resume(spec, snap, seed)
+            assert _fingerprint(warm, warm_prof) == want, (
+                f"{app}: resume from t={snap.when} diverged from the cold run"
+            )
 
 
 def test_resume_is_bit_identical_with_active_fault_plan():
@@ -264,6 +285,10 @@ def _with_ids(snap, extra):
     return replace(snap, ids=ids, n_ids=len(ids))
 
 
+def _with_specials(snap, specials):
+    return replace(snap, specials=list(specials), n_specials=len(specials))
+
+
 def test_untampered_log_replays():
     spec, snap = _recorded_to_end()
     restore(snap, spec.build(3))
@@ -285,29 +310,29 @@ def test_id_of_a_never_spawned_thread_raises_snapshot_error():
 
 def test_spawn_by_the_wrong_parent_raises_snapshot_error():
     spec, snap = _recorded_to_end()
-    specials = list(snap.specials)
+    specials = snap.specials[: snap.n_specials]
     k = [i for i, sp in enumerate(specials) if sp[1] == _T_SPAWN][1]
     pos, _tag, child, parent = specials[k]
     wrong = child - 1
     assert wrong != parent
     specials[k] = (pos, _T_SPAWN, child, wrong)
     with pytest.raises(SnapshotError, match=f"parent {wrong} yielded"):
-        restore(replace(snap, specials=tuple(specials)), spec.build(3))
+        restore(_with_specials(snap, specials), spec.build(3))
 
 
 def test_stop_of_a_running_thread_raises_snapshot_error():
     spec, snap = _recorded_to_end()
-    specials = list(snap.specials)
+    specials = snap.specials[: snap.n_specials]
     # main is still spawning workers here, so it cannot have finished
     k = [i for i, sp in enumerate(specials) if sp[1] == _T_SPAWN][1]
     specials.insert(k, (specials[k][0], _T_STOP, 0, None))
     with pytest.raises(SnapshotError, match="thread 0 kept running"):
-        restore(replace(snap, specials=tuple(specials)), spec.build(3))
+        restore(_with_specials(snap, specials), spec.build(3))
 
 
 def test_send_to_a_never_spawned_thread_raises_snapshot_error():
     spec, snap = _recorded_to_end()
     ghost = len(snap.threads)
-    specials = snap.specials + ((snap.n_ids, _T_SEND, ghost, None),)
+    specials = snap.specials[: snap.n_specials] + [(snap.n_ids, _T_SEND, ghost, None)]
     with pytest.raises(SnapshotError, match=f"thread {ghost} was never spawned"):
-        restore(replace(snap, specials=specials), spec.build(3))
+        restore(_with_specials(snap, specials), spec.build(3))

@@ -49,7 +49,7 @@ def test_delay_engine_invariant(events, delay):
             eng.credit(t)
         # invariant: nobody is ever ahead of the global
         for th in threads:
-            assert th.prof.get("coz_local", 0) <= eng.global_count
+            assert th.coz_local <= eng.global_count
     if delay > 0:
         assert total_pause % delay == 0 or total_pause == 0
     assert eng.end() == eng.global_count
