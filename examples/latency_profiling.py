@@ -37,14 +37,15 @@ def make_program(seed: int = 0) -> Program:
                 yield Progress("request-begin")        # arrival: latency clock in
                 yield from queue.put(cid)
 
+        handle = (
+            Work(PARSE, US(14)),                       # the expensive step
+            Work(RESPOND, US(4)),
+            Progress("request-end"),                   # completion: clock out
+        )
+
         def worker(t2):
-            while True:
-                item = yield from queue.get()
-                if item is Channel.CLOSED:
-                    break
-                yield Work(PARSE, US(14))              # the expensive step
-                yield Work(RESPOND, US(4))
-                yield Progress("request-end")          # completion: clock out
+            # a sink stage: handle each request until the queue is closed
+            return queue.relay(None, None, lambda _item: handle)
 
         clients = []
         for cid in range(8):

@@ -19,7 +19,6 @@ traversal itself gets ~96% faster (the §4.3 accuracy study).
 from __future__ import annotations
 
 import random
-from functools import partial
 from repro.apps.hashtable import HASH_VARIANTS, HashTable, make_keys
 from repro.apps.spec import AppSpec
 from repro.core.progress import ProgressPoint
@@ -71,17 +70,17 @@ def build_dedup(
         raise ValueError(f"unknown dedup variant: {variant}")
 
     def make(seed: int = 0) -> Program:
-        # constant ops, built once: each stage's call frame and its work
-        enter_fragment = push_frame("fragment")
-        fragment = Work(LINE_FRAGMENT, fragment_ns)
-        enter_sha1 = push_frame("sha1")
-        sha1 = Work(LINE_SHA, sha_ns)
-        enter_search = push_frame("hashtable_search")
-        search_base = Work(LINE_HASH_BASE, search_base_ns) if search_base_ns else None
-        enter_compress = push_frame("compress")
-        compress = Work(LINE_COMPRESS, compress_ns)
-        reach_progress = Work(LINE_PROGRESS, 0)
-        block_compressed = Progress(PROGRESS)
+        # constant ops, built once: each stage's per-block ops, call frames
+        # included (the hash stage appends its jittered chain walk)
+        fragment = (push_frame("fragment"), Work(LINE_FRAGMENT, fragment_ns), POP_FRAME)
+        sha_then_search = (
+            push_frame("sha1"), Work(LINE_SHA, sha_ns), POP_FRAME,
+            push_frame("hashtable_search"),
+        ) + ((Work(LINE_HASH_BASE, search_base_ns),) if search_base_ns else ())
+        compress = (
+            push_frame("compress"), Work(LINE_COMPRESS, compress_ns), POP_FRAME,
+            Work(LINE_PROGRESS, 0), Progress(PROGRESS),
+        )
 
         def main(t):
             keys = make_keys(n_keys, seed=7)  # fixed corpus, like an input file
@@ -89,58 +88,36 @@ def build_dedup(
             for k in keys:
                 table.insert(k)
 
+            # the input feed: fragmentation stage pulls raw blocks
+            frag_to_hash_feed = Channel(32, "input")
             frag_to_hash = Channel(32, "frag->hash")
             hash_to_comp = Channel(32, "hash->comp")
 
             def fragment_worker(t2):
-                while True:
-                    item = yield from frag_to_hash_feed.get()
-                    if item is Channel.CLOSED:
-                        break
-                    yield enter_fragment
-                    yield fragment
-                    yield POP_FRAME
-                    yield from frag_to_hash.put(item)
+                return frag_to_hash_feed.relay(frag_to_hash, None, lambda _item: fragment)
 
-            def hash_worker(wid, t2):
+            def hash_worker(wid):
                 wrng = random.Random((seed << 4) ^ wid)
-                while True:
-                    item = yield from frag_to_hash.get()
-                    if item is Channel.CLOSED:
-                        break
+
+                def work(_item):
                     key = keys[wrng.randrange(len(keys))]
-                    yield enter_sha1
-                    yield sha1
-                    yield POP_FRAME
                     _value, links = table.search(key)
-                    # hashtable_search: hash/index computation plus the
-                    # chain-walk loop
-                    yield enter_search
-                    if search_base is not None:
-                        yield search_base
-                    yield Work(LINE_HASH_LOOP, links * search_iter_ns)
-                    yield POP_FRAME
-                    yield from hash_to_comp.put(item)
+                    # SHA1 of the chunk, then hashtable_search: hash/index
+                    # computation plus the chain-walk loop
+                    return sha_then_search + (
+                        Work(LINE_HASH_LOOP, links * search_iter_ns), POP_FRAME,
+                    )
+
+                return lambda t2: frag_to_hash.relay(hash_to_comp, None, work)
 
             def compress_worker(t2):
-                while True:
-                    item = yield from hash_to_comp.get()
-                    if item is Channel.CLOSED:
-                        break
-                    yield enter_compress
-                    yield compress
-                    yield POP_FRAME
-                    yield reach_progress
-                    yield block_compressed
-
-            # the input feed: fragmentation stage pulls raw blocks
-            frag_to_hash_feed = Channel(32, "input")
+                return hash_to_comp.relay(None, None, lambda _item: compress)
 
             workers = []
             for i in range(threads_per_stage):
                 workers.append((yield Spawn(fragment_worker, f"frag-{i}")))
             for i in range(threads_per_stage):
-                workers.append((yield Spawn(partial(hash_worker, i), f"hash-{i}")))
+                workers.append((yield Spawn(hash_worker(i), f"hash-{i}")))
             for i in range(threads_per_stage):
                 workers.append((yield Spawn(compress_worker, f"comp-{i}")))
 

@@ -80,8 +80,8 @@ def build_ferret(
 
     def make(seed: int = 0) -> Program:
         read_image = IO(US(10))
-        output = Work(LINE_OUT, US(15))
-        query_done = Progress(PROGRESS)
+        # the output stage's ops per query: write the result, then progress
+        output = (Work(LINE_OUT, US(15)), Progress(PROGRESS))
 
         def main(t):
             # queues between the six stages
@@ -97,28 +97,15 @@ def build_ferret(
                 wrng = random.Random((seed << 8) ^ (idx << 4) ^ wid)
                 enter = push_frame(func, callsite)
 
-                def worker(t2):
-                    inq, outq = queues[idx], queues[idx + 1]
-                    while True:
-                        item = yield from inq.get(callsite)
-                        if item is Channel.CLOSED:
-                            break
-                        jitter = 1.0 + work_jitter * (2 * wrng.random() - 1.0)
-                        dur = max(0, int(service_ns * jitter))
-                        yield enter
-                        yield Work(lib_line, dur)
-                        yield POP_FRAME
-                        yield from outq.put(item, callsite)
+                def work(_item):
+                    jitter = 1.0 + work_jitter * (2 * wrng.random() - 1.0)
+                    dur = max(0, int(service_ns * jitter))
+                    return enter, Work(lib_line, dur), POP_FRAME
 
-                return worker
+                return lambda t2: queues[idx].relay(queues[idx + 1], callsite, work)
 
             def output_thread(t2):
-                while True:
-                    item = yield from queues[4].get(LINE_OUT)
-                    if item is Channel.CLOSED:
-                        break
-                    yield output
-                    yield query_done
+                return queues[4].relay(None, LINE_OUT, lambda _item: output)
 
             workers = []
             tin = yield Spawn(input_thread, "input")

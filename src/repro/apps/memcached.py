@@ -76,22 +76,22 @@ def build_memcached(
                     yield from requests.put(crng.randrange(1 << 30))
                 return None
 
-            def worker(wid: int, t2):
+            def worker(wid: int):
                 wrng = random.Random((seed << 13) ^ wid)
-                while True:
-                    key = yield from requests.get()
-                    if key is Channel.CLOSED:
-                        break
+
+                def process_command(key):
                     yield enter_command
                     yield Work(LINE_PARSE, _jit(wrng, parse_ns))
                     yield Work(LINE_ASSOC, _jit(wrng, assoc_ns))
                     # item_remove: decrement the item's reference count
-                    stripe = stripes[key % n_stripes]
                     ref_cost = _jit(wrng, refcount_ns)
                     if optimized:
                         # atomic decrement; no lock needed (the paper's fix)
                         yield Work(LINE_REFCOUNT, ref_cost)
                     else:
+                        # a generator, not a tuple: the lock's TryLock is
+                        # sent its result
+                        stripe = stripes[key % n_stripes]
                         yield from stripe.lock(LINE_ITEM_REMOVE)
                         yield Work(LINE_REFCOUNT, ref_cost)
                         yield from stripe.unlock(LINE_ITEM_REMOVE)
@@ -99,12 +99,14 @@ def build_memcached(
                     yield command_done
                     yield POP_FRAME
 
+                return lambda t2: requests.relay(None, None, process_command)
+
             clients = []
             for cid in range(n_clients):
                 clients.append((yield Spawn(partial(client, cid), f"client-{cid}")))
             workers = []
             for wid in range(n_workers):
-                workers.append((yield Spawn(partial(worker, wid), f"worker-{wid}")))
+                workers.append((yield Spawn(worker(wid), f"worker-{wid}")))
             for c in clients:
                 yield Join(c)
             yield from requests.close()

@@ -7,15 +7,16 @@ visible to the installed profiler hook (paper Tables 1 and 2).
 
 :class:`Channel` and :class:`SpinBarrier` are *composites* built from the
 primitives — a bounded producer/consumer queue (the pipes between pipeline
-stages in dedup/ferret) and a PARSEC-style busy-wait barrier whose spin loop
-repeatedly calls ``pthread_mutex_trylock``, the pathology behind the
-fluidanimate and streamcluster case studies (§4.2.4-4.2.5).
+stages in dedup/ferret, each stage one :meth:`Channel.relay` generator) and
+a PARSEC-style busy-wait barrier whose spin loop repeatedly calls
+``pthread_mutex_trylock``, the pathology behind the fluidanimate and
+streamcluster case studies (§4.2.4-4.2.5).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
 
 from repro.sim.clock import US
 from repro.sim.ops import (
@@ -183,6 +184,56 @@ class Channel:
         yield unlock
         return item
 
+    def relay(
+        self,
+        out: Optional["Channel"],
+        line: Optional[SourceLine],
+        work: Callable[[Any], Iterable],
+    ) -> Generator:
+        """One pipeline stage: get, ``yield from work(item)``, put to ``out``.
+
+        Runs until this channel is closed and drained, yielding op for op
+        what the composed loop over :meth:`get`, ``work`` and
+        ``out.put(item, line)`` yields, in one generator frame with both
+        channels' ops bound once.  ``out=None`` makes the stage a sink.
+        ``work`` may return any iterable of ops (a tuple is cheapest) as
+        long as the engine sends none of them a value; otherwise it must
+        return a generator, since ``yield from`` forwards a send only to one.
+        """
+        lock, unlock, _, wait_not_empty, signal_not_empty, signal_not_full = (
+            self._ops(line)
+        )
+        items = self.items
+        if out is not None:
+            put_lock, put_unlock, wait_not_full, _, put_signal, _ = out._ops(line)
+            out_items = out.items
+            capacity = out.capacity
+        while True:
+            yield lock
+            while not items and not self.closed:
+                yield wait_not_empty
+            if not items:  # closed and drained: re-signal, as get() does
+                yield signal_not_empty
+                yield unlock
+                return
+            item = items.popleft()
+            self.total_got += 1
+            yield signal_not_full
+            yield unlock
+            yield from work(item)
+            if out is None:
+                continue
+            yield put_lock
+            while len(out_items) >= capacity and not out.closed:
+                yield wait_not_full
+            if out.closed:
+                yield put_unlock
+                raise RuntimeError(f"put() on closed channel {out.name}")
+            out_items.append(item)
+            out.total_put += 1
+            yield put_signal
+            yield put_unlock
+
     def close(self, line: Optional[SourceLine] = None) -> Generator:
         """Mark end-of-stream and wake all blocked consumers/producers."""
         lock, unlock, _, _, signal_not_empty, signal_not_full = self._ops(line)
@@ -266,8 +317,12 @@ class SpinBarrier:
                         yield Work(self.spin_line, self.spin_iter_ns)
                 else:
                     yield Work(self.spin_line, self.spin_iter_ns)
-        finally:
+        except GeneratorExit:
+            raise  # abandoned run: yielding the toggle here would be illegal
+        except BaseException:
             yield SetSpinning(False)
+            raise
+        yield SetSpinning(False)
         return False
 
 
@@ -303,9 +358,13 @@ class SpinMutex:
                 yield Work(self.spin_line, self.spin_iter_ns)
                 got = yield TryLock(self.mutex, self.spin_line)
                 if got:
-                    return
-        finally:
+                    break
+        except GeneratorExit:
+            raise  # abandoned run: yielding the toggle here would be illegal
+        except BaseException:
             yield SetSpinning(False)
+            raise
+        yield SetSpinning(False)
 
     def unlock(self, line: Optional[SourceLine] = None) -> Generator:
         yield Unlock(self.mutex, line)

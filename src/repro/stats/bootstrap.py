@@ -101,12 +101,29 @@ def resample_indices(seed: int, sizes: Sequence[int], n_boot: int) -> List[np.nd
     return out
 
 
+def _exact_mean(values: Sequence[float]) -> float:
+    """The correctly rounded mean of floats (what ``statistics.mean``
+    returns), without its per-value ``Fraction`` arithmetic.
+
+    A finite float is ``n / 2**k`` exactly, so the numerators, scaled to the
+    largest denominator, sum exactly as ints and one int division rounds
+    the result once.  NaN for a non-finite value.
+    """
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except (OverflowError, ValueError):  # inf or nan
+        return math.nan
+    shift = max(d for _, d in ratios).bit_length() - 1
+    total = sum(n << (shift - d.bit_length() + 1) for n, d in ratios)
+    return total / (len(ratios) << shift)
+
+
 def standard_error(replicates: Sequence[float]) -> float:
     """Standard deviation (n - 1 denominator) of bootstrap replicates;
     0.0 for fewer than two."""
     if len(replicates) < 2:
         return 0.0
-    m = mean(replicates)
+    m = _exact_mean(replicates)
     return (sum((v - m) ** 2 for v in replicates) / (len(replicates) - 1)) ** 0.5
 
 

@@ -28,6 +28,14 @@ loop (13.3 per entry on CPython 3.11.7); it read 53.6 while every entry
 went through a tag dispatch, a send-value check and a sync-attribute
 lookup.
 
+Replaying re-runs the app model's generators, so restore also costs
+Python calls into ``src/repro`` per replayed op-log entry, counted here
+on a small ferret program.  They read 2.42 per entry while every pipeline
+stage drove throwaway ``Channel.get``/``put`` sub-generators per item and
+looked each channel's ops up again per call, and 1.38 (CPython 3.11.7)
+once each stage runs in one ``Channel.relay`` frame with its ops bound
+once.
+
 Checkpoint size is counted in bytes: a pickled snapshot per op-log entry
 it replays.  The id column stores one small integer per entry and the
 specials are few, so the ratio stays near 4–5 bytes and falls as the run
@@ -65,6 +73,7 @@ from repro.sim.snapshot import Recorder, restore
 
 CALLS_PER_EVENT_BUDGET = 8.0
 REPLAY_OPCODES_PER_ENTRY_BUDGET = 20.0
+REPLAY_CALLS_PER_ENTRY_BUDGET = 1.8
 SNAPSHOT_BYTES_PER_ENTRY_BUDGET = 6.0
 RESUMED_TAIL_SHARE_BUDGET = 0.05
 CAPTURES_PER_RUN_BUDGET = {"example": 8, "sqlite": 48, "ferret": 48}
@@ -178,6 +187,34 @@ def test_replay_opcodes_per_entry_within_budget():
     assert ratio <= REPLAY_OPCODES_PER_ENTRY_BUDGET, (
         f"{ratio:.1f} opcodes in snapshot.py per replayed op-log entry "
         f"({entries} entries; budget {REPLAY_OPCODES_PER_ENTRY_BUDGET})"
+    )
+
+
+def test_ferret_replay_calls_per_entry_within_budget():
+    spec = registry.build("ferret", n_queries=200)
+    recorder = Recorder(first_ns=MS(1))
+    spec.build(1).run(recorder=recorder)
+    assert recorder.snapshots and not recorder.failed
+    snapshot = recorder.snapshots[-1]
+    program = spec.build(1)
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(_ROOT):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        restore(snapshot, program)
+    finally:
+        sys.setprofile(previous)
+    entries = snapshot.n_ids + snapshot.n_specials
+    ratio = calls / entries
+    assert ratio <= REPLAY_CALLS_PER_ENTRY_BUDGET, (
+        f"{ratio:.2f} Python calls per replayed op-log entry on ferret "
+        f"({entries} entries; budget {REPLAY_CALLS_PER_ENTRY_BUDGET})"
     )
 
 

@@ -1,6 +1,12 @@
 """SpinBarrier and SpinMutex: busy-wait composites and the interference model."""
 
+import gc
+import sys
+
+import pytest
+
 from repro.sim import MS, US, Join, Program, SimConfig, Spawn, Work, line
+from repro.sim.ops import SetSpinning, TryLock
 from repro.sim.sync import SpinBarrier, SpinMutex
 
 SPIN = line("parsec_barrier.cpp:163")
@@ -115,3 +121,45 @@ def test_spin_mutex_excludes_and_spins():
     run(main)
     assert order[0][1] == order[1][1]  # no interleaving
     assert main.sm.total_spin_iters > 0  # the loser spun
+
+
+def _spinning_lock():
+    """A ``SpinMutex.lock`` generator driven into its spin loop."""
+    gen = SpinMutex(SPIN).lock()
+    assert type(next(gen)) is TryLock
+    assert gen.send(False) == SetSpinning(True)  # lost the trylock: spin
+    assert type(gen.send(None)) is Work
+    return gen
+
+
+def _spinning_barrier_wait():
+    """A ``SpinBarrier.wait`` generator driven into its spin loop."""
+    gen = SpinBarrier(2, SPIN).wait()
+    next(gen)  # Lock
+    gen.send(None)  # Unlock: the first arrival waits
+    assert gen.send(None) == SetSpinning(True)
+    assert type(gen.send(None)) is TryLock
+    assert type(gen.send(False)) is Work
+    return gen
+
+
+@pytest.mark.parametrize("spinning", [_spinning_lock, _spinning_barrier_wait])
+def test_closing_a_spinning_generator_reports_nothing(spinning, monkeypatch):
+    """An abandoned run drops its threads' generators mid-spin; closing one
+    must not try to yield the spin toggle (``generator ignored
+    GeneratorExit``, reported through ``sys.unraisablehook``)."""
+    reported = []
+    monkeypatch.setattr(sys, "unraisablehook", reported.append)
+    gen = spinning()
+    del gen
+    gc.collect()
+    spinning().close()
+    assert reported == []
+
+
+def test_spin_lock_clears_spinning_when_acquired():
+    gen = _spinning_lock()
+    assert type(gen.send(None)) is TryLock
+    assert gen.send(True) == SetSpinning(False)  # got it: stop spinning
+    with pytest.raises(StopIteration):
+        gen.send(None)

@@ -97,6 +97,13 @@ def test_speedup_stats_se_is_pinned():
     assert speedup_stats(baseline, optimized, seed=5).se == 0.0030275622616176743
 
 
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_exact_mean_is_statistics_mean(values):
+    """The SE's integer-ratio mean rounds exactly as ``statistics.mean``."""
+    assert bootstrap._exact_mean(values) == mean(values)
+
+
 # -- the draw stream: bulk index draws replay sequential randrange ---------------------
 
 
