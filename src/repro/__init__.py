@@ -27,52 +27,56 @@ Quickstart::
     spec.build(seed=0).run(hook=profiler)
 """
 
-from repro.core import (
-    CausalProfile,
-    CausalProfiler,
-    CozConfig,
-    LatencySpec,
-    LineProfile,
-    ProfileData,
-    ProgressPoint,
-    build_causal_profile,
-    predict_program_speedup,
-    render_line_graph,
-    render_profile,
-    summarize,
-    to_coz_format,
-    top_line,
-)
-from repro.harness.comparison import compare_app
-from repro.harness.request import ExecutionConfig, ResilienceConfig
-from repro.harness.runner import (
-    ProfileOutcome,
-    ProfileRequest,
-    profile_app,
-    profile_program,
-    run_profile_session,
-)
-from repro.plan import (
-    AdaptivePlanner,
-    ExperimentPlan,
-    PlanConfig,
-    Planner,
-    PlanReport,
-    StaticPlanner,
-)
-from repro.sim import (
-    MS,
-    SEC,
-    US,
-    Engine,
-    Program,
-    RunResult,
-    Scope,
-    SimConfig,
-    SourceLine,
-    VThread,
-    line,
-)
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro.core": (
+        "CausalProfile",
+        "CausalProfiler",
+        "CozConfig",
+        "LatencySpec",
+        "LineProfile",
+        "ProfileData",
+        "ProgressPoint",
+        "build_causal_profile",
+        "predict_program_speedup",
+        "render_line_graph",
+        "render_profile",
+        "summarize",
+        "to_coz_format",
+        "top_line",
+    ),
+    "repro.harness.comparison": ("compare_app",),
+    "repro.harness.request": ("ExecutionConfig", "ResilienceConfig"),
+    "repro.harness.runner": (
+        "ProfileOutcome",
+        "ProfileRequest",
+        "profile_app",
+        "profile_program",
+        "run_profile_session",
+    ),
+    "repro.plan": (
+        "AdaptivePlanner",
+        "ExperimentPlan",
+        "PlanConfig",
+        "Planner",
+        "PlanReport",
+        "StaticPlanner",
+    ),
+    "repro.sim": (
+        "MS",
+        "SEC",
+        "US",
+        "Engine",
+        "Program",
+        "RunResult",
+        "Scope",
+        "SimConfig",
+        "SourceLine",
+        "VThread",
+        "line",
+    ),
+})
 
 __version__ = "1.0.0"
 

@@ -52,28 +52,21 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.apps import registry
-from repro.apps.spec import AppSpec
-from repro.core.config import CozConfig
-from repro.core.report import (
-    render_audit,
-    render_failures,
-    render_line_graph,
-    render_plan,
-    render_profile,
-    to_coz_format,
-)
-from repro.harness.comparison import compare_builds
-from repro.harness.overhead import measure_overhead
-from repro.harness.request import ExecutionConfig, ResilienceConfig
-from repro.harness.runner import ProfileRequest, run_profile_session
-from repro.plan import PLANNERS, PlanConfig
-from repro.sim.clock import MS
+from repro.plan import PLANNERS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.apps.spec import AppSpec
+
+# Each command imports the layers it runs inside its own function, so that
+# ``list`` and the service clients (``submit``, ``status``, ``shutdown``)
+# start without the profiler, the executor, the statistics or numpy.
 
 
 def _build(name: str, optimized: bool = False) -> AppSpec:
+    from repro.apps import registry
+
     try:
         return registry.build(name, optimized=optimized)
     except registry.UnknownAppError as exc:
@@ -83,6 +76,8 @@ def _build(name: str, optimized: bool = False) -> AppSpec:
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
+    from repro.apps import registry
+
     for entry in registry.entries():
         print(f"{entry.name:<15} {'(+ optimized variant)' if entry.has_optimized else ''}")
     return 0
@@ -95,6 +90,8 @@ def _finish_audit(report) -> int:
     if report.passed:
         print(f"audit: PASS ({len(report.checks)} invariants)")
         return 0
+    from repro.core.report import render_audit
+
     print(render_audit(report), end="")
     return 1
 
@@ -109,6 +106,19 @@ def _fault_plan(args: argparse.Namespace):
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from repro.core.config import CozConfig
+    from repro.core.report import (
+        render_failures,
+        render_line_graph,
+        render_plan,
+        render_profile,
+        to_coz_format,
+    )
+    from repro.harness.request import ExecutionConfig, ResilienceConfig
+    from repro.harness.runner import ProfileRequest, run_profile_session
+    from repro.plan.base import PlanConfig
+    from repro.sim.clock import MS
+
     spec = _build(args.app, optimized=args.optimized)
     cfg = CozConfig(
         scope=spec.scope,
@@ -146,6 +156,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.harness.comparison import compare_builds
+
     audit_report = None
     if args.audit:
         from repro.core.audit import AuditReport
@@ -167,6 +179,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_overhead(args: argparse.Namespace) -> int:
+    from repro.harness.overhead import measure_overhead
+
     audit_report = None
     if args.audit:
         from repro.core.audit import AuditReport
@@ -322,6 +336,7 @@ def cmd_service_shutdown(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
+    from repro.apps import registry
     from repro.harness.differential import (
         DiffConfig,
         diff_to_json,
@@ -354,7 +369,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
+    from repro.apps import registry
     from repro.core.audit import run_doctor
+    from repro.core.report import render_audit
 
     try:
         report = run_doctor(args.app, runs=args.runs, jobs=args.jobs)
@@ -393,6 +410,8 @@ def _probability_arg(value: str) -> float:
 
 
 def _experiment_ms_arg(value: str) -> float:
+    from repro.sim.clock import MS
+
     ms = float(value)
     if not (math.isfinite(ms) and MS(ms) >= 1):
         raise argparse.ArgumentTypeError("must be a finite duration of at least 1 ns")

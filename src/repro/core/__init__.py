@@ -14,25 +14,29 @@ Public surface:
   and rendering.
 """
 
-from repro.core.analysis import Opportunity, predict_program_speedup, summarize, top_line
-from repro.core.config import DEFAULT_SPEEDUPS, CozConfig
-from repro.core.experiment import ExperimentResult
-from repro.core.profile_data import (
-    CausalProfile,
-    LatencyPoint,
-    LineProfile,
-    ProfileData,
-    ProfilePoint,
-    RunFailure,
-    RunInfo,
-    build_causal_profile,
-    build_latency_profile,
-    build_line_profile,
-)
-from repro.core.profiler import CausalProfiler
-from repro.core.progress import LatencySpec, ProgressPoint, ProgressTracker
-from repro.core.report import render_line_graph, render_profile, to_coz_format, to_csv
-from repro.core.speedup import DelayEngine
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro.core.analysis": ("Opportunity", "predict_program_speedup", "summarize", "top_line"),
+    "repro.core.config": ("DEFAULT_SPEEDUPS", "CozConfig"),
+    "repro.core.experiment": ("ExperimentResult",),
+    "repro.core.profile_data": (
+        "CausalProfile",
+        "LatencyPoint",
+        "LineProfile",
+        "ProfileData",
+        "ProfilePoint",
+        "RunFailure",
+        "RunInfo",
+        "build_causal_profile",
+        "build_latency_profile",
+        "build_line_profile",
+    ),
+    "repro.core.profiler": ("CausalProfiler",),
+    "repro.core.progress": ("LatencySpec", "ProgressPoint", "ProgressTracker"),
+    "repro.core.report": ("render_line_graph", "render_profile", "to_coz_format", "to_csv"),
+    "repro.core.speedup": ("DelayEngine",),
+})
 
 __all__ = [
     "Opportunity",

@@ -21,15 +21,16 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import ExperimentResult
 from repro.core.progress import LatencySpec
 from repro.sim.source import SourceLine, intern_line
 from repro.stats.bootstrap import resample_indices, standard_error
 from repro.stats.regression import Regression, linear_regression
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass
@@ -396,6 +397,8 @@ def _line_profile(
     if total_t is not None and cols.selected_samples > 0 and total_t > 0:
         t_obs, s_obs = cols.duration_ns, cols.selected_samples
         factor = min(1.0, (t_obs / s_obs) * (total_s / total_t))
+
+    import numpy as np
 
     arrays = {
         pct: (np.array(visits, dtype=np.int64), np.array(eff, dtype=np.int64))

@@ -7,28 +7,32 @@ Multi-run sessions share the process-parallel executor in
 cpu-count-aware auto sizing) to fan independent runs out over worker
 processes with results bit-identical to serial execution."""
 
-from repro.harness.comparison import compare_app, compare_builds, measure_runtimes
-from repro.harness.journal import JournalError, JournalRecord, SessionJournal
-from repro.harness.overhead import OverheadBreakdown, measure_overhead
-from repro.harness.parallel import (
-    AUTO_JOBS,
-    ParallelExecutionWarning,
-    RetryPolicy,
-    RunOutput,
-    RunTask,
-    Watchdog,
-    execute_tasks,
-    resolve_jobs,
-)
-from repro.harness.request import ExecutionConfig, ResilienceConfig
-from repro.harness.runner import (
-    ProfileOutcome,
-    ProfileRequest,
-    profile_app,
-    profile_program,
-    run_profile_session,
-    session_fingerprint,
-)
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro.harness.comparison": ("compare_app", "compare_builds", "measure_runtimes"),
+    "repro.harness.journal": ("JournalError", "JournalRecord", "SessionJournal"),
+    "repro.harness.overhead": ("OverheadBreakdown", "measure_overhead"),
+    "repro.harness.parallel": (
+        "AUTO_JOBS",
+        "ParallelExecutionWarning",
+        "RetryPolicy",
+        "RunOutput",
+        "RunTask",
+        "Watchdog",
+        "execute_tasks",
+        "resolve_jobs",
+    ),
+    "repro.harness.request": ("ExecutionConfig", "ResilienceConfig"),
+    "repro.harness.runner": (
+        "ProfileOutcome",
+        "ProfileRequest",
+        "profile_app",
+        "profile_program",
+        "run_profile_session",
+        "session_fingerprint",
+    ),
+})
 
 __all__ = [
     "AUTO_JOBS",

@@ -24,23 +24,22 @@ profiling sessions over one shared cache:
   ``repro submit`` / ``repro status``.
 """
 
-from repro.harness.service.client import ServiceClient, ServiceUnavailableError
-from repro.harness.service.daemon import ServiceConfig, ServiceDaemon
-from repro.harness.service.jobs import Job, JobQueue
-from repro.harness.service.results import ResultStore
-from repro.harness.service.tenants import (
-    AdmissionController,
-    CircuitBreaker,
-    TenantPolicy,
-    TenantState,
-    TokenBucket,
-)
-from repro.harness.service.wire import (
-    WIRE_VERSION,
-    JobSpec,
-    WireError,
-    job_fingerprint,
-)
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro.harness.service.client": ("ServiceClient", "ServiceUnavailableError"),
+    "repro.harness.service.daemon": ("ServiceConfig", "ServiceDaemon"),
+    "repro.harness.service.jobs": ("Job", "JobQueue"),
+    "repro.harness.service.results": ("ResultStore",),
+    "repro.harness.service.tenants": (
+        "AdmissionController",
+        "CircuitBreaker",
+        "TenantPolicy",
+        "TenantState",
+        "TokenBucket",
+    ),
+    "repro.harness.service.wire": ("WIRE_VERSION", "JobSpec", "WireError", "job_fingerprint"),
+})
 
 __all__ = [
     "AdmissionController",

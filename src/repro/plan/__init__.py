@@ -7,16 +7,14 @@ the CLI exposes the same choice as ``--planner static|adaptive`` and
 ``--budget N``.
 """
 
-from repro.plan.adaptive import AdaptivePlanner
-from repro.plan.base import (
-    ExperimentPlan,
-    PlanConfig,
-    Planner,
-    PlannerState,
-    PlanReport,
-)
-from repro.plan.schedule import RunScheduler
-from repro.plan.static import StaticPlanner
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro.plan.adaptive": ("AdaptivePlanner",),
+    "repro.plan.base": ("ExperimentPlan", "PlanConfig", "Planner", "PlannerState", "PlanReport"),
+    "repro.plan.schedule": ("RunScheduler",),
+    "repro.plan.static": ("StaticPlanner",),
+})
 
 #: the planner names PlanConfig accepts
 PLANNERS = ("static", "adaptive")
@@ -41,12 +39,18 @@ def make_planner(plan: "PlanConfig", default_runs: int) -> "Planner":
     ``plan.budget`` of ``None`` means "the request's ``runs``" — so the
     default static session schedules exactly the historical run count.
     """
+    from repro.plan.base import PlanConfig
+
     plan = plan or PlanConfig()
     plan.validate()
     budget = plan.budget if plan.budget is not None else default_runs
     if plan.planner == "static":
+        from repro.plan.static import StaticPlanner
+
         return StaticPlanner(runs=budget)
     if plan.planner == "adaptive":
+        from repro.plan.adaptive import AdaptivePlanner
+
         return AdaptivePlanner(
             budget=budget,
             explore_runs=plan.explore_runs,

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CozConfig
+from repro.plan import PLANNERS
 from repro.sim.source import SourceLine, intern_line
 
 #: stopping reasons a planner may assign to a line (PlanReport.line_reason)
@@ -64,8 +65,6 @@ class PlanConfig:
     se_target: float = 0.01
 
     def validate(self) -> None:
-        from repro.plan import PLANNERS  # late: avoid import cycle
-
         if self.planner not in PLANNERS:
             raise ValueError(
                 f"unknown planner {self.planner!r} (choose from {PLANNERS})"

@@ -31,8 +31,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.thread import VThread
 
 
+#: numpy, once a vector path first needs it (see :func:`_require_numpy`)
+_np = None
+
+
 def _require_numpy():
-    """Import numpy, failing fast with a clear message (see pyproject floor)."""
+    """Import numpy on first use, failing fast with a clear message (see
+    pyproject floor).  Only segments of at least :data:`VECTOR_MIN` samples
+    need it, so a process that never materializes one never imports it."""
+    global _np
+    if _np is not None:
+        return _np
     try:
         import numpy
     except ImportError as exc:  # pragma: no cover - numpy is a hard dep
@@ -51,10 +60,8 @@ def _require_numpy():
             f"stable int64 casting semantics; found numpy {version}. "
             "Upgrade numpy."
         )
+    _np = numpy
     return numpy
-
-
-np = _require_numpy()
 
 
 class Sample(NamedTuple):
@@ -97,6 +104,7 @@ _new = tuple.__new__
 def _affine_times(n: int, base: int, period: int) -> List[int]:
     """[base + k*period for k in 1..n], vectorized when it pays off."""
     if n >= VECTOR_MIN and 0 <= base + n * period < SAFE_TIME_MAX and base > -SAFE_TIME_MAX:
+        np = _require_numpy()
         return (base + period * np.arange(1, n + 1, dtype=np.int64)).tolist()
     return [base + k * period for k in range(1, n + 1)]
 
@@ -119,6 +127,7 @@ def _rescale_times(
         and abs(start_real) < SAFE_TIME_MAX
         and n * period < SAFE_TIME_MAX
     ):
+        np = _require_numpy()
         k = np.arange(1, n + 1, dtype=np.int64)
         cpu = k * period - accum_before
         when = start_real + (cpu.astype(np.float64) * rate).astype(np.int64)

@@ -7,10 +7,14 @@ significance claim), and ordinary least squares with slope standard error
 (Coz's profile ranking metric).
 """
 
-from repro.stats.bootstrap import bootstrap_ci, bootstrap_se, speedup_stats
-from repro.stats.mannwhitney import mann_whitney_u
-from repro.stats.rankcorr import RankCorrelation, rank_correlation, top_k_disagreement
-from repro.stats.regression import linear_regression
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro.stats.bootstrap": ("bootstrap_ci", "bootstrap_se", "speedup_stats"),
+    "repro.stats.mannwhitney": ("mann_whitney_u",),
+    "repro.stats.rankcorr": ("RankCorrelation", "rank_correlation", "top_k_disagreement"),
+    "repro.stats.regression": ("linear_regression",),
+})
 
 __all__ = [
     "bootstrap_ci",

@@ -18,9 +18,10 @@ import operator
 import random
 from dataclasses import dataclass
 from statistics import mean
-from typing import Callable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: 32-bit words per ``getrandbits`` call: bounds the temporary int and bytes
 _CHUNK_WORDS = 1 << 16
@@ -28,6 +29,8 @@ _CHUNK_WORDS = 1 << 16
 
 def _draw_words(rng: random.Random, count: int) -> np.ndarray:
     """The next ``count`` 32-bit Mersenne Twister outputs of ``rng``, in order."""
+    import numpy as np
+
     out = np.empty(count, dtype=np.uint32)
     for lo in range(0, count, _CHUNK_WORDS):
         n = min(_CHUNK_WORDS, count - lo)
@@ -46,6 +49,8 @@ def _block_table(words: np.ndarray, n: int):
     after a block of ``n`` draws starting at ``p``.  ``end`` maps blocks that
     run past the buffer to ``len(words) + 1``, which maps to itself.
     """
+    import numpy as np
+
     size = len(words)
     accepted = (words >> (32 - n.bit_length())) < n
     pos = np.flatnonzero(accepted)
@@ -71,6 +76,8 @@ def resample_indices(seed: int, sizes: Sequence[int], n_boot: int) -> List[np.nd
     blocks of draws in stream order to find where each one starts.  Sizes
     must lie in ``[1, 2**32)``, where one draw reads one word.
     """
+    import numpy as np
+
     sizes = [operator.index(n) for n in sizes]
     for n in sizes:
         if not 1 <= n < 1 << 32:
@@ -164,6 +171,8 @@ def bootstrap_pair_se(
     """
     if len(a) < 2 and len(b) < 2:
         return 0.0
+    import numpy as np
+
     sizes = (len(a), len(b))
     drawn = iter(resample_indices(seed, [n for n in sizes if n], n_boot))
     ia, ib = (next(drawn) if n else np.empty((n_boot, 0), np.intp) for n in sizes)
