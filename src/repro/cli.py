@@ -124,9 +124,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         scope=spec.scope,
         experiment_duration_ns=MS(args.experiment_ms),
         speedup_values=tuple(range(0, 101, args.speedup_step)),
+        audit=args.audit,
     )
     request = ProfileRequest(
-        runs=args.runs, coz_config=cfg, audit=args.audit,
+        runs=args.runs, coz_config=cfg,
         execution=ExecutionConfig(
             jobs=args.jobs,
             checkpoint=not args.no_checkpoint,

@@ -358,22 +358,23 @@ def run_doctor(
     serial_exec = ExecutionConfig(jobs=1)
     report = AuditReport()
 
+    audited = replace(cfg, audit=True)
     serial = run_profile_session(spec, ProfileRequest(
-        runs=runs, base_seed=base_seed, coz_config=cfg,
-        execution=serial_exec, audit=True,
+        runs=runs, base_seed=base_seed, coz_config=audited,
+        execution=serial_exec,
     ))
     report.merge(serial.audit)
 
     jittered = run_profile_session(spec, ProfileRequest(
         runs=runs, base_seed=base_seed,
-        coz_config=replace(cfg, nanosleep_jitter_ns=jitter_ns),
-        execution=serial_exec, audit=True,
+        coz_config=replace(audited, nanosleep_jitter_ns=jitter_ns),
+        execution=serial_exec,
     ))
     report.merge(jittered.audit)
 
     parallel = run_profile_session(spec, ProfileRequest(
-        runs=runs, base_seed=base_seed, coz_config=cfg,
-        execution=ExecutionConfig(jobs=jobs), audit=True,
+        runs=runs, base_seed=base_seed, coz_config=audited,
+        execution=ExecutionConfig(jobs=jobs),
     ))
     report.merge(parallel.audit)
     report.add(_check(
@@ -389,9 +390,8 @@ def run_doctor(
     # runs per worker round trip is execution-only, so a session forced to
     # multi-run batches must be bit-identical to the serial one
     batched = run_profile_session(spec, ProfileRequest(
-        runs=runs, base_seed=base_seed, coz_config=cfg,
+        runs=runs, base_seed=base_seed, coz_config=audited,
         execution=ExecutionConfig(jobs=jobs, batch_runs=max(2, runs // jobs)),
-        audit=True,
     ))
     report.merge(batched.audit)
     report.add(_check(

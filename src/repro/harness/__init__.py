@@ -11,7 +11,7 @@ from repro import _lazy
 
 __getattr__, __dir__ = _lazy.exports(__name__, {
     "repro.harness.comparison": ("compare_app", "compare_builds", "measure_runtimes"),
-    "repro.harness.journal": ("JournalError", "JournalRecord", "SessionJournal"),
+    "repro.harness.journal": ("JournalError", "SessionJournal"),
     "repro.harness.overhead": ("OverheadBreakdown", "measure_overhead"),
     "repro.harness.parallel": (
         "AUTO_JOBS",
@@ -38,7 +38,6 @@ __all__ = [
     "AUTO_JOBS",
     "ExecutionConfig",
     "JournalError",
-    "JournalRecord",
     "OverheadBreakdown",
     "ParallelExecutionWarning",
     "ProfileOutcome",

@@ -21,7 +21,6 @@ from repro.harness.parallel import (
     RunTask,
     execute_tasks,
 )
-from repro.harness.runner import _output_from_record, journal_hook
 from repro.sim.faults import FaultPlan
 from repro.sim.program import Program
 from repro.stats.bootstrap import SpeedupStats, speedup_stats
@@ -64,14 +63,14 @@ def measure_runtimes(
     ]
     outputs = {}
     if journal is not None:
-        for idx, rec in journal.completed(segment).items():
+        for idx, out in journal.completed(segment).items():
             if idx < runs:
-                outputs[idx] = _output_from_record(rec)
+                outputs[idx] = out
     remaining = [t for t in tasks if t.index not in outputs]
     for out in execute_tasks(
         remaining, jobs=jobs, timeout=timeout,
         audit_report=audit_report if jobs != 1 else None,
-        on_output=journal_hook(journal, segment),
+        on_output=journal.hook(segment) if journal is not None else None,
     ):
         outputs[out.index] = out
 

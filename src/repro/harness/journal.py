@@ -2,13 +2,16 @@
 
 A causal-profiling session is many independent runs whose results merge in
 run order.  That makes it checkpointable at run granularity: after every
-completed (or failed) run, the harness appends one JSONL record to an
+completed (or failed) run, the harness appends the run's
+:class:`~repro.harness.parallel.RunOutput` as one JSONL record to an
 on-disk journal — a :class:`repro.storage.AppendLog`, fsync'd per record,
 so a ``SIGKILL`` at any instant loses at most the record being written.  A
 restarted session opens the journal, replays the completed runs verbatim
-(the payload is the run's :meth:`ProfileData.to_json` wire document, which
-is lossless), and executes only the remaining schedule.  Because run ``i``
-is always seeded ``base_seed + i``, the resumed session needs no RNG
+as ``RunOutput`` values (the payload is the run's
+:meth:`ProfileData.to_json` wire document, which is lossless), and
+executes only the remaining schedule.  :func:`_record` and
+:func:`_output` are the one mapping between the two forms.  Because run
+``i`` is always seeded ``base_seed + i``, the resumed session needs no RNG
 rewinding — the merged result is bit-identical to an uninterrupted
 session, and ``repro doctor`` verifies exactly that.
 
@@ -22,8 +25,8 @@ Wire format (one JSON object per line):
 * run records: ``{"kind": "run", "segment": s, "index": i, "seed": n,
   "run": {...RunResult wire...}, "data": {...ProfileData wire...},
   "audit": {...} | null}``.
-* failure records: ``{"kind": "failure", "segment": s, "failure":
-  {...RunFailure wire...}}``.
+* failure records: ``{"kind": "failure", "segment": s, "index": i,
+  "seed": n, "failure": {...RunFailure wire...}}``.
 
 ``segment`` partitions one file among a session's phases (``compare``
 journals the baseline and optimized sessions into the same file as
@@ -41,12 +44,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from repro.storage import AppendLog
+
+if TYPE_CHECKING:
+    from repro.harness.parallel import RunOutput
 
 JOURNAL_VERSION = 1
 
@@ -86,24 +90,6 @@ def canonical(obj: Any) -> Any:
     return repr(obj)
 
 
-@dataclass
-class JournalRecord:
-    """One replayed journal entry: a completed run or a recorded failure."""
-
-    kind: str  # "run" | "failure"
-    segment: str
-    index: int
-    seed: int
-    #: RunResult wire dict (kind == "run")
-    run: Optional[Dict[str, Any]] = None
-    #: the run's ProfileData wire document (kind == "run")
-    data: Optional[Dict[str, Any]] = None
-    #: the run's AuditReport wire document, if the session audited
-    audit: Optional[Dict[str, Any]] = None
-    #: RunFailure wire dict (kind == "failure")
-    failure: Optional[Dict[str, Any]] = None
-
-
 class SessionJournal:
     """Append-only JSONL journal for one profiling session.
 
@@ -116,7 +102,8 @@ class SessionJournal:
     def __init__(self, path: Path, fingerprint: Dict[str, Any]) -> None:
         self.path = Path(path)
         self.fingerprint = fingerprint
-        self.records: List[JournalRecord] = []
+        #: every intact record's document, in file order
+        self.records: List[Dict[str, Any]] = []
         self._log = AppendLog(self.path, error=JournalError)
 
     # -- lifecycle -------------------------------------------------------------
@@ -129,8 +116,7 @@ class SessionJournal:
         on the same path — two daemon workers picking up one job, or a
         mistyped ``--journal`` pointing at a finished session — gets a
         :class:`JournalError` instead of silently truncating the existing
-        records.  Use :meth:`resume` to append to an existing journal, or
-        :meth:`open` for create-or-resume semantics.
+        records.  Use :meth:`resume` to append to an existing journal.
         """
         journal = cls(Path(path), canonical(fingerprint))
         try:
@@ -146,54 +132,6 @@ class SessionJournal:
             "fingerprint": journal.fingerprint,
         })
         return journal
-
-    @classmethod
-    def open(
-        cls, path, fingerprint: Dict[str, Any], grace_s: float = 0.5
-    ) -> "SessionJournal":
-        """Create the journal, or resume it when it already exists.
-
-        The create-or-resume race is resolved by the filesystem: exclusive
-        create means exactly one of two concurrent openers creates, and the
-        loser resumes what the winner wrote.
-
-        A journal that exists but holds no intact header is ambiguous: the
-        winner of a concurrent create may simply not have flushed its
-        header line yet, or a past writer died mid-header-write.  Unlinking
-        immediately would delete a *live* writer's file and recreate the
-        path, putting two writers on one journal — the exact truncation
-        hazard exclusive create exists to prevent.  So resume is retried
-        for ``grace_s`` first; only a file still headerless after the whole
-        grace window (orders of magnitude longer than a header fsync) is
-        declared a dead writer's debris and reclaimed.
-        """
-        path = Path(path)
-        deadline = time.monotonic() + grace_s
-        while True:
-            if not path.exists():
-                try:
-                    return cls.create(path, fingerprint)
-                except JournalError:
-                    continue  # lost the create race; resume the winner's file
-            try:
-                return cls.resume(path, fingerprint)
-            except JournalError as exc:
-                msg = str(exc)
-                headerless = (
-                    "no intact header" in msg
-                    or "is empty" in msg
-                    or "does not exist" in msg
-                )
-                if not headerless:
-                    raise
-                if time.monotonic() >= deadline:
-                    break
-                time.sleep(0.02)
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return cls.create(path, fingerprint)
 
     @classmethod
     def resume(cls, path, fingerprint: Dict[str, Any]) -> "SessionJournal":
@@ -225,54 +163,78 @@ class SessionJournal:
 
     # -- appending -------------------------------------------------------------
 
-    def record_run(
-        self,
-        segment: str,
-        index: int,
-        seed: int,
-        run: Dict[str, Any],
-        data_json: Optional[str],
-        audit_json: Optional[str] = None,
-    ) -> None:
-        """Journal one completed run (durable before this returns).
+    def record_run(self, segment: str, out: "RunOutput") -> None:
+        """Journal one completed run (durable before this returns)."""
+        self._log.append(_record(segment, out))
 
-        ``data_json`` is ``None`` for plain (unprofiled) runs — the
-        comparison harness journals bare runtime measurements.
-        """
-        self._log.append({
-            "kind": "run",
-            "segment": segment,
-            "index": index,
-            "seed": seed,
-            "run": run,
-            "data": json.loads(data_json) if data_json is not None else None,
-            "audit": json.loads(audit_json) if audit_json else None,
-        })
+    def record_failure(self, segment: str, out: "RunOutput") -> None:
+        """Journal one deterministic run failure (``out.failure`` set)."""
+        self._log.append(_record(segment, out))
 
-    def record_failure(self, segment: str, failure) -> None:
-        """Journal one recorded run failure (a RunFailure)."""
-        self._log.append({
-            "kind": "failure",
-            "segment": segment,
-            "index": failure.index,
-            "seed": failure.seed,
-            "failure": failure.to_dict(),
-        })
+    def hook(self, segment: str = DEFAULT_SEGMENT):
+        """An ``execute_tasks(on_output=...)`` callback journaling each
+        run's output under ``segment``."""
+
+        def record(task, out: "RunOutput") -> None:
+            if out.failed:
+                self.record_failure(segment, out)
+            else:
+                self.record_run(segment, out)
+
+        return record
 
     # -- replay ----------------------------------------------------------------
 
-    def completed(self, segment: str = DEFAULT_SEGMENT) -> Dict[int, JournalRecord]:
-        """Replayed records for one segment, keyed by run index.
+    def completed(self, segment: str = DEFAULT_SEGMENT) -> Dict[int, "RunOutput"]:
+        """Replayed run outputs for one segment, keyed by run index.
 
         A duplicate index keeps the *first* record: re-journaling after a
         crash-mid-append can only duplicate, never diverge (same seed, same
         deterministic run).
         """
-        out: Dict[int, JournalRecord] = {}
-        for rec in self.records:
-            if rec.segment == segment and rec.index not in out:
-                out[rec.index] = rec
+        out: Dict[int, RunOutput] = {}
+        for doc in self.records:
+            if doc.get("segment", DEFAULT_SEGMENT) == segment and doc["index"] not in out:
+                out[doc["index"]] = _output(doc)
         return out
+
+
+def _record(segment: str, out: "RunOutput") -> Dict[str, Any]:
+    """A run output's journal record (the version-1 line format)."""
+    if out.failed:
+        return {
+            "kind": "failure",
+            "segment": segment,
+            "index": out.index,
+            "seed": out.seed,
+            "failure": out.failure,
+        }
+    return {
+        "kind": "run",
+        "segment": segment,
+        "index": out.index,
+        "seed": out.seed,
+        "run": out.run,
+        # unprofiled runs (the comparison harness) carry no profile
+        "data": json.loads(out.data_bin) if out.data_bin is not None else None,
+        "audit": json.loads(out.audit_json) if out.audit_json else None,
+    }
+
+
+def _output(doc: Dict[str, Any]) -> "RunOutput":
+    """The run output a journal record holds (inverse of :func:`_record`)."""
+    from repro.harness.parallel import RunOutput
+
+    if doc["kind"] == "failure":
+        return RunOutput(index=doc["index"], seed=doc["seed"], failure=doc["failure"])
+    data, audit = doc.get("data"), doc.get("audit")
+    return RunOutput(
+        index=doc["index"],
+        seed=doc["seed"],
+        run=doc.get("run") or {},
+        data_bin=json.dumps(data).encode("utf-8") if data is not None else None,
+        audit_json=json.dumps(audit) if audit is not None else None,
+    )
 
 
 def _load(log: AppendLog):
@@ -295,21 +257,11 @@ def _load(log: AppendLog):
             f"unsupported journal version {header.get('version')!r} in {path}"
         )
 
-    records = []
-    for doc in docs[1:]:
+    records = docs[1:]
+    for doc in records:
         kind = doc.get("kind")
         if kind not in ("run", "failure"):
             raise JournalError(f"journal {path}: unknown record kind {kind!r}")
-        records.append(JournalRecord(
-            kind=kind,
-            segment=doc.get("segment", DEFAULT_SEGMENT),
-            index=doc["index"],
-            seed=doc["seed"],
-            run=doc.get("run"),
-            data=doc.get("data"),
-            audit=doc.get("audit"),
-            failure=doc.get("failure"),
-        ))
     return header, records
 
 

@@ -218,18 +218,20 @@ class RunTask:
 
 @dataclass
 class RunOutput:
-    """Result of one task: a run summary plus (for profiled runs) the
-    profiler's data in the :meth:`ProfileData.to_bytes` wire format.
+    """One run's record, in the one form every path uses: a run summary
+    plus (for profiled runs) the profiler's data in the
+    :meth:`ProfileData.to_bytes` wire format.
 
-    A task that failed deterministically carries a ``failure`` record
+    Pool workers, the serial loop and in-parent retries all return it, and
+    the session journal (:mod:`repro.harness.journal`) writes and replays
+    it.  A task that failed deterministically carries a ``failure`` record
     (:meth:`RunFailure.to_dict` wire form) instead of run data.
     """
 
     index: int
     seed: int
     run: Dict[str, Any] = field(default_factory=dict)
-    #: the profile document as bytes: what a pool worker ships home and
-    #: what a journal replay restores
+    #: the profile document as bytes (``None`` for unprofiled runs)
     data_bin: Optional[bytes] = field(default=None, repr=False)
     #: per-run invariant audit (wire format), when the config asked for one
     audit_json: Optional[str] = None
@@ -238,10 +240,6 @@ class RunOutput:
     #: worker-measured execution seconds (feeds the watchdog median);
     #: wall-clock, so excluded from equality
     wall_s: float = field(default=0.0, compare=False)
-    #: in-process executions keep the live objects to skip re-parsing
-    _data: Optional[ProfileData] = field(default=None, repr=False, compare=False)
-    _run_result: Optional[RunResult] = field(default=None, repr=False, compare=False)
-    _audit: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
     def failed(self) -> bool:
@@ -253,23 +251,18 @@ class RunOutput:
         return RunFailure.from_dict(self.failure)
 
     def profile_data(self) -> Optional[ProfileData]:
-        if self._data is not None:
-            return self._data
         if self.data_bin is None:
             return None
         return ProfileData.from_bytes(self.data_bin)
 
     def run_result(self) -> Optional[RunResult]:
-        if self._run_result is not None:
-            return self._run_result
+        """The run summary as an engine-free :class:`RunResult`."""
         if self.failed:
             return None
         return RunResult(engine=None, **self.run)
 
     def audit_report(self):
         """The run's :class:`~repro.core.audit.AuditReport`, if audited."""
-        if self._audit is not None:
-            return self._audit
         if self.audit_json is None:
             return None
         from repro.core.audit import AuditReport
@@ -309,7 +302,7 @@ def _resolve_factory(task: RunTask):
     return task.program_factory, task.progress_points, task.latency_specs
 
 
-def _run_task(task: RunTask, keep_objects: bool = False) -> RunOutput:
+def _run_task(task: RunTask) -> RunOutput:
     """Execute one run; mirrors the serial loop body exactly.
 
     Deterministic simulation failures (deadlock, injected crash, stuck
@@ -346,12 +339,7 @@ def _run_task(task: RunTask, keep_objects: bool = False) -> RunOutput:
         failure = RunFailure.from_error(task.index, task.seed, exc)
         return RunOutput(index=task.index, seed=task.seed, failure=failure.to_dict())
     out = RunOutput(index=task.index, seed=task.seed, run=_summarize(result))
-    if keep_objects:
-        out._run_result = result
-        if profiler is not None:
-            out._data = profiler.data
-            out._audit = profiler.auditor.report() if profiler.auditor else None
-    elif profiler is not None:
+    if profiler is not None:
         out.data_bin = profiler.data.to_bytes()
         if profiler.auditor is not None:
             out.audit_json = profiler.auditor.report().to_json()
@@ -379,10 +367,10 @@ def _enact_worker_faults(task: RunTask, attempt: int) -> None:
 
 
 def _run_task_in_worker(task: RunTask, attempt: int = 0) -> RunOutput:
-    """Worker entry point: wire-format output plus measured wall time."""
+    """Worker entry point: the run's output plus measured wall time."""
     _enact_worker_faults(task, attempt)
     start = time.perf_counter()
-    out = _run_task(task, keep_objects=False)
+    out = _run_task(task)
     out.wall_s = time.perf_counter() - start
     return out
 
@@ -422,7 +410,7 @@ def _run_serial(
     for t in tasks:
         if deadline_monotonic is not None and time.monotonic() >= deadline_monotonic:
             break  # deadline passed: return what completed
-        out = _run_task(t, keep_objects=True)
+        out = _run_task(t)
         if on_output is not None:
             on_output(t, out)
         outputs.append(out)
@@ -500,9 +488,10 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 def _audit_identity(tasks, outputs, audit_report) -> None:
     """Parallel-serial-identity: re-run a sampled subset in the parent.
 
-    Re-executes the first and last profiled task in-process and compares
-    both the run summary and the profile bit-for-bit against what the
-    worker shipped home.  Appends the result to ``audit_report``.
+    Re-executes the first and last task in-process and compares its
+    output byte-for-byte (run summary, profile and audit documents,
+    failure record) with what the worker shipped home.  Appends the result
+    to ``audit_report``.
     """
     from repro.core.audit import InvariantCheck
 
@@ -515,14 +504,8 @@ def _audit_identity(tasks, outputs, audit_report) -> None:
         out = outputs.get(idx)
         if out is None:
             continue
-        redo = _run_task(by_index[idx], keep_objects=True)
         checked += 1
-        same = (
-            redo.run == out.run
-            and redo.failure == out.failure
-            and redo.profile_data() == out.profile_data()
-        )
-        if not same:
+        if _run_task(by_index[idx]) != out:
             failures += 1
             if not detail:
                 detail = (
@@ -768,7 +751,7 @@ def execute_tasks(
                 f"run {task.index} (seed {task.seed}) failed in worker "
                 f"({type(err).__name__}: {err}); retrying in parent"
             )
-        finish(task, _run_task(task, keep_objects=True))
+        finish(task, _run_task(task))
 
     def fail_batch(
         batch: RunBatch,

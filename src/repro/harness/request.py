@@ -1,7 +1,7 @@
 """The profiling-session request surface: one value grouped by concern.
 
 :class:`ProfileRequest` holds the session-level knobs (run count, seeds,
-profiler config, audit) plus three sub-configs grouped by concern:
+profiler config) plus three sub-configs grouped by concern:
 
 * :class:`ExecutionConfig` — *how* runs execute (workers, timeouts,
   checkpoint fast-forward).  Execution-only: never part of the session
@@ -99,9 +99,6 @@ class ProfileRequest:
     coz_config: Optional[CozConfig] = None
     #: discard lines measured at fewer distinct speedups than this
     min_speedup_amounts: int = 2
-    #: attach the invariant audit (:mod:`repro.core.audit`) to every run and
-    #: merge per-run reports into :attr:`ProfileOutcome.audit`
-    audit: bool = False
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     plan: PlanConfig = field(default_factory=PlanConfig)

@@ -35,7 +35,6 @@ keyword-style wrappers.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
@@ -43,12 +42,7 @@ from typing import Dict, List, Optional
 from repro.apps.spec import AppSpec
 from repro.core.config import CozConfig
 from repro.core.profile_data import CausalProfile, ProfileData, build_causal_profile
-from repro.harness.journal import (
-    DEFAULT_SEGMENT,
-    JournalRecord,
-    SessionJournal,
-    canonical,
-)
+from repro.harness.journal import DEFAULT_SEGMENT, SessionJournal, canonical
 from repro.harness.parallel import RunOutput, RunTask, execute_tasks
 from repro.harness.request import (
     ExecutionConfig,
@@ -65,8 +59,6 @@ __all__ = [
     "ProfileOutcome",
     "ProfileRequest",
     "ResilienceConfig",
-    "journal_hook",
-    "output_wire_parts",
     "profile_app",
     "profile_program",
     "run_profile_session",
@@ -80,8 +72,9 @@ class ProfileOutcome:
 
     data: ProfileData
     profile: CausalProfile
+    #: one engine-free summary per merged run, in run order
     run_results: List[RunResult] = field(default_factory=list)
-    #: merged invariant-audit report (``None`` unless the request audited)
+    #: merged invariant-audit report (``None`` unless ``CozConfig.audit``)
     audit: Optional[object] = None
     #: how the planner spent the session (always present; the static
     #: planner reports one round of uniform spend)
@@ -128,49 +121,6 @@ def session_fingerprint(
     }
 
 
-def _output_from_record(rec: JournalRecord) -> RunOutput:
-    """Rebuild a completed run's output from its journal record."""
-    if rec.kind == "failure":
-        return RunOutput(index=rec.index, seed=rec.seed, failure=rec.failure)
-    return RunOutput(
-        index=rec.index,
-        seed=rec.seed,
-        run=rec.run or {},
-        data_bin=json.dumps(rec.data).encode("utf-8") if rec.data is not None else None,
-        audit_json=json.dumps(rec.audit) if rec.audit is not None else None,
-    )
-
-
-def output_wire_parts(out: RunOutput):
-    """(data_json, audit_json) for journaling, serializing live objects
-    when the output came from an in-process execution."""
-    if out.data_bin is not None:
-        data_json = out.data_bin.decode("utf-8")
-    else:
-        data = out.profile_data()
-        data_json = data.to_json() if data is not None else None
-    audit_json = out.audit_json
-    if audit_json is None:
-        audit = out.audit_report()
-        audit_json = audit.to_json() if audit is not None else None
-    return data_json, audit_json
-
-
-def journal_hook(journal: Optional[SessionJournal], segment: str = DEFAULT_SEGMENT):
-    """An ``execute_tasks(on_output=...)`` callback that journals each run."""
-    if journal is None:
-        return None
-
-    def record(task: RunTask, out: RunOutput) -> None:
-        if out.failed:
-            journal.record_failure(segment, out.run_failure())
-            return
-        data_json, audit_json = output_wire_parts(out)
-        journal.record_run(segment, out.index, out.seed, out.run, data_json, audit_json)
-
-    return record
-
-
 def run_profile_session(
     spec: AppSpec,
     request: Optional[ProfileRequest] = None,
@@ -192,10 +142,9 @@ def run_profile_session(
     if coz_config.scope.files is None and spec.scope.files is not None:
         coz_config = replace(coz_config, scope=spec.scope)
     audit_report = None
-    if request.audit or coz_config.audit:
+    if coz_config.audit:
         from repro.core.audit import AuditReport
 
-        coz_config = replace(coz_config, audit=True)
         audit_report = AuditReport()
 
     # Checkpoint fast-forward: only registry-referenced apps have a stable
@@ -236,14 +185,13 @@ def run_profile_session(
     if resilience.resume is not None:
         fingerprint = session_fingerprint(spec, request, coz_config)
         journal = SessionJournal.resume(resilience.resume, fingerprint)
-        for idx, rec in journal.completed(DEFAULT_SEGMENT).items():
-            replayed[idx] = _output_from_record(rec)
+        replayed = journal.completed(DEFAULT_SEGMENT)
     elif resilience.journal is not None:
         fingerprint = session_fingerprint(spec, request, coz_config)
         journal = SessionJournal.create(resilience.journal, fingerprint)
 
     planner = make_planner(request.plan, default_runs=request.runs)
-    on_output = journal_hook(journal)
+    on_output = journal.hook(DEFAULT_SEGMENT) if journal is not None else None
     data = ProfileData()
     run_results: List[RunResult] = []
     outputs: Dict[int, RunOutput] = {}
@@ -309,9 +257,7 @@ def run_profile_session(
                 run_data = out.profile_data()
                 batch_results.extend(run_data.experiments)
                 data.merge(run_data)
-                result = out.run_result()
-                if result is not None:
-                    run_results.append(result)
+                run_results.append(out.run_result())
                 if audit_report is not None:
                     per_run = out.audit_report()
                     if per_run is not None:
@@ -355,7 +301,6 @@ def profile_program(
     base_seed: int = 0,
     jobs: int = 1,
     timeout: Optional[float] = None,
-    audit: bool = False,
     faults: Optional[FaultPlan] = None,
     plan: Optional[PlanConfig] = None,
 ) -> ProfileOutcome:
@@ -377,7 +322,6 @@ def profile_program(
         base_seed=base_seed,
         coz_config=coz_config,
         min_speedup_amounts=min_speedup_amounts,
-        audit=audit,
         execution=ExecutionConfig(jobs=jobs, timeout=timeout),
         resilience=ResilienceConfig(faults=faults),
         plan=plan,
@@ -393,7 +337,6 @@ def profile_app(
     base_seed: int = 0,
     jobs: int = 1,
     timeout: Optional[float] = None,
-    audit: bool = False,
     faults: Optional[FaultPlan] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
@@ -405,7 +348,6 @@ def profile_app(
         base_seed=base_seed,
         coz_config=coz_config,
         min_speedup_amounts=min_speedup_amounts,
-        audit=audit,
         execution=ExecutionConfig(jobs=jobs, timeout=timeout),
         resilience=ResilienceConfig(faults=faults, journal=journal, resume=resume),
         plan=plan,

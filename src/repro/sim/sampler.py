@@ -14,8 +14,8 @@ Samples are buffered structure-of-arrays (DESIGN.md §5i): each
 ``account`` call appends one *segment* descriptor to a :class:`ColumnarBuf`
 (the line/callchain/func are constant across a chunk, so a whole chunk's
 samples are one run-length-encoded record), and sample timestamps are
-computed lazily — with numpy int64 vector ops for large segments — only
-when a consumer actually needs :class:`Sample` tuples.  The causal profiler
+computed lazily, one exact Python integer per sample, only when a
+consumer actually needs :class:`Sample` tuples.  The causal profiler
 and the perf baseline aggregate straight from the segments and never
 materialize at all.
 """
@@ -29,39 +29,6 @@ from repro.sim.source import SourceLine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.thread import VThread
-
-
-#: numpy, once a vector path first needs it (see :func:`_require_numpy`)
-_np = None
-
-
-def _require_numpy():
-    """Import numpy on first use, failing fast with a clear message (see
-    pyproject floor).  Only segments of at least :data:`VECTOR_MIN` samples
-    need it, so a process that never materializes one never imports it."""
-    global _np
-    if _np is not None:
-        return _np
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - numpy is a hard dep
-        raise ImportError(
-            "repro's vectorized sample pipeline requires numpy >= 1.22 "
-            "(pip install 'numpy>=1.22')"
-        ) from exc
-    version = getattr(numpy, "__version__", "0")
-    try:
-        parts = tuple(int(p) for p in version.split(".")[:2])
-    except ValueError:  # pragma: no cover - exotic dev versions
-        parts = (99, 99)
-    if parts < (1, 22):  # pragma: no cover - exercised only on old numpy
-        raise ImportError(
-            f"repro's vectorized sample pipeline needs numpy >= 1.22 for "
-            f"stable int64 casting semantics; found numpy {version}. "
-            "Upgrade numpy."
-        )
-    _np = numpy
-    return numpy
 
 
 class Sample(NamedTuple):
@@ -86,26 +53,11 @@ SEG_AFFINE = 0    # rate == 1.0: times are base + k*period, k = 1..n
 SEG_RESCALE = 1   # rate != 1.0: times are start_real + int((k*period - accum)*rate)
 SEG_LITERAL = 2   # pre-materialized Samples (snapshot restore, fault perturbation)
 
-#: numpy engages only for segments at least this long; smaller segments use
-#: a (byte-identical) per-sample loop, whose fixed cost is lower than array
-#: setup.  The property tests sweep sizes on both sides of this threshold.
-VECTOR_MIN = 16
-
-#: int64/float64 safety ceiling for the vector paths.  Beyond ~2^62 the
-#: intermediate ``k*period - accum`` / ``base + k*period`` math can overflow
-#: int64 under numpy, and ``cpu_offset * rate`` loses integer precision in
-#: float64; segments whose values reach this range take the exact
-#: arbitrary-precision scalar path instead (same bytes, no wraparound).
-SAFE_TIME_MAX = 1 << 62
-
 _new = tuple.__new__
 
 
 def _affine_times(n: int, base: int, period: int) -> List[int]:
-    """[base + k*period for k in 1..n], vectorized when it pays off."""
-    if n >= VECTOR_MIN and 0 <= base + n * period < SAFE_TIME_MAX and base > -SAFE_TIME_MAX:
-        np = _require_numpy()
-        return (base + period * np.arange(1, n + 1, dtype=np.int64)).tolist()
+    """[base + k*period for k in 1..n]."""
     return [base + k * period for k in range(1, n + 1)]
 
 
@@ -114,25 +66,10 @@ def _rescale_times(
 ) -> List[int]:
     """Ceil-rounded rescale timestamps, clamped to the chunk edge ``now``.
 
-    Per sample: float64 multiply then truncation toward zero.  numpy's
-    int64->float64->int64 round trip performs the identical IEEE-754 double
-    rounding and truncation, so the vector and per-sample paths are
-    byte-identical below :data:`SAFE_TIME_MAX` (the property tests pin this).
-    The clamp guards against float precision drift pushing a sample past the
-    chunk edge at extreme virtual times (``when`` must never exceed ``now``).
+    Per sample: float64 multiply then truncation toward zero.  The clamp
+    guards against float precision drift pushing a sample past the chunk
+    edge at extreme virtual times (``when`` must never exceed ``now``).
     """
-    if (
-        n >= VECTOR_MIN
-        and 0 <= now < SAFE_TIME_MAX
-        and abs(start_real) < SAFE_TIME_MAX
-        and n * period < SAFE_TIME_MAX
-    ):
-        np = _require_numpy()
-        k = np.arange(1, n + 1, dtype=np.int64)
-        cpu = k * period - accum_before
-        when = start_real + (cpu.astype(np.float64) * rate).astype(np.int64)
-        np.minimum(when, now, out=when)
-        return when.tolist()
     out = []
     append = out.append
     for k in range(1, n + 1):

@@ -68,7 +68,7 @@ def test_report_merge_folds_by_name():
 
 def test_clean_profiled_run_passes_audit():
     spec = _example_spec()
-    out = profile_app(spec, runs=2, coz_config=_cfg(spec.scope), audit=True)
+    out = profile_app(spec, runs=2, coz_config=_cfg(spec.scope, audit=True))
     assert out.audit is not None
     assert out.audit.passed
     names = {c.name for c in out.audit.checks}
@@ -87,14 +87,14 @@ def test_audit_does_not_perturb_results():
     """The auditor is observational: profiles are bit-identical with it on."""
     spec = _example_spec()
     plain = profile_app(spec, runs=2, coz_config=_cfg(spec.scope))
-    audited = profile_app(spec, runs=2, coz_config=_cfg(spec.scope), audit=True)
+    audited = profile_app(spec, runs=2, coz_config=_cfg(spec.scope, audit=True))
     assert plain.data == audited.data
 
 
 def test_jittered_run_passes_audit():
     spec = _example_spec()
-    cfg = _cfg(spec.scope, nanosleep_jitter_ns=5000)
-    out = profile_app(spec, runs=2, coz_config=cfg, audit=True)
+    cfg = _cfg(spec.scope, nanosleep_jitter_ns=5000, audit=True)
+    out = profile_app(spec, runs=2, coz_config=cfg)
     assert out.audit.passed
 
 
@@ -202,9 +202,9 @@ def test_run_doctor_example_passes():
 def test_parallel_audit_matches_serial():
     """Bit-identity holds under --audit, and workers ship their reports."""
     spec = _example_spec()
-    cfg = _cfg(spec.scope)
-    serial = profile_app(spec, runs=3, coz_config=cfg, jobs=1, audit=True)
-    fanned = profile_app(spec, runs=3, coz_config=cfg, jobs=3, audit=True)
+    cfg = _cfg(spec.scope, audit=True)
+    serial = profile_app(spec, runs=3, coz_config=cfg, jobs=1)
+    fanned = profile_app(spec, runs=3, coz_config=cfg, jobs=3)
     assert serial.data == fanned.data
     assert serial.audit.passed
     assert fanned.audit.passed

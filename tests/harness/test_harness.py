@@ -87,6 +87,16 @@ def test_profile_app_merges_runs():
     assert len(out.run_results) == 3
 
 
+def test_serial_run_results_hold_no_engine():
+    """A serial session's runs come home as RunOutputs, like pooled ones:
+    each run result is a summary and keeps no engine alive."""
+    spec = build_example(rounds=20)
+    out = profile_app(spec, runs=2, coz_config=CozConfig(scope=spec.scope), jobs=1)
+    assert len(out.run_results) == 2
+    assert all(r.engine is None for r in out.run_results)
+    assert all(r.sample_count > 0 for r in out.run_results)
+
+
 def test_overhead_breakdown_components_nonnegative():
     spec = build_swaptions(n_iters=60)
     b = measure_overhead(spec, runs=1)

@@ -1,7 +1,11 @@
 """Crash-safe session journal: wire format, torn-tail tolerance,
 fingerprint guarding, and checkpoint/resume bit-identity."""
 
+import hashlib
 import json
+import shutil
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,23 +16,25 @@ from repro.harness import (
     JournalError,
     ProfileRequest,
     ResilienceConfig,
+    RunOutput,
     SessionJournal,
     run_profile_session,
     session_fingerprint,
 )
-from repro.harness.journal import DEFAULT_SEGMENT, canonical
+from repro.harness.journal import DEFAULT_SEGMENT, _output, _record, canonical
 
 FP = {"kind": "test-session", "app": "example", "runs": 3, "base_seed": 0}
 
+DATA = Path(__file__).parent / "data"
+
 
 def _run_record(journal, index, seed=None):
-    journal.record_run(
-        segment=DEFAULT_SEGMENT,
+    journal.record_run(DEFAULT_SEGMENT, RunOutput(
         index=index,
         seed=index if seed is None else seed,
         run={"runtime_ns": 100 + index},
-        data_json=json.dumps({"version": 1, "runs": [], "experiments": []}),
-    )
+        data_bin=json.dumps({"version": 1, "runs": [], "experiments": []}).encode(),
+    ))
 
 
 # -- wire format / roundtrip ---------------------------------------------------------
@@ -39,21 +45,45 @@ def test_create_resume_roundtrip(tmp_path):
     with SessionJournal.create(path, FP) as j:
         _run_record(j, 0)
         _run_record(j, 1)
+        failure = RunFailure(index=2, seed=2, error_type="DeadlockError", message="stuck")
         j.record_failure(
-            DEFAULT_SEGMENT,
-            RunFailure(index=2, seed=2, error_type="DeadlockError", message="stuck"),
+            DEFAULT_SEGMENT, RunOutput(index=2, seed=2, failure=failure.to_dict())
         )
 
     resumed = SessionJournal.resume(path, FP)
     try:
         completed = resumed.completed(DEFAULT_SEGMENT)
         assert sorted(completed) == [0, 1, 2]
-        assert completed[0].kind == "run"
+        assert not completed[0].failed
         assert completed[0].run == {"runtime_ns": 100}
-        assert completed[2].kind == "failure"
-        assert completed[2].failure["error_type"] == "DeadlockError"
+        assert completed[2].failed
+        assert completed[2].run_failure() == failure
     finally:
         resumed.close()
+
+
+def test_record_mapping_round_trips_run_outputs():
+    """A journal record holds a whole RunOutput: run, failure, unprofiled."""
+    spec = registry.build("example")
+    cfg = replace(_default_cfg(spec), audit=True)
+    audited = run_profile_session(spec, ProfileRequest(runs=1, coz_config=cfg))
+    failure = RunFailure(index=3, seed=9, error_type="DeadlockError", message="x")
+    outputs = [
+        RunOutput(
+            index=0, seed=0, run={"runtime_ns": 5},
+            data_bin=audited.data.to_bytes(),
+            audit_json=audited.audit.to_json(),
+        ),
+        RunOutput(index=3, seed=9, failure=failure.to_dict()),
+        RunOutput(index=1, seed=1, run={"runtime_ns": 7}),
+    ]
+    for out in outputs:
+        doc = json.loads(json.dumps(_record("seg", out)))
+        assert doc["segment"] == "seg"
+        back = _output(doc)
+        assert back == out
+        assert back.profile_data() == out.profile_data()
+        assert _record("seg", back) == doc
 
 
 def test_records_are_one_json_object_per_line(tmp_path):
@@ -81,8 +111,8 @@ def test_duplicate_index_keeps_first_record(tmp_path):
 def test_segments_partition_one_file(tmp_path):
     path = tmp_path / "session.jsonl"
     with SessionJournal.create(path, FP) as j:
-        j.record_run("baseline", 0, 0, {"runtime_ns": 1}, "{}")
-        j.record_run("optimized", 0, 0, {"runtime_ns": 2}, "{}")
+        j.record_run("baseline", RunOutput(index=0, seed=0, run={"runtime_ns": 1}))
+        j.record_run("optimized", RunOutput(index=0, seed=0, run={"runtime_ns": 2}))
     resumed = SessionJournal.resume(path, FP)
     resumed.close()
     assert resumed.completed("baseline")[0].run == {"runtime_ns": 1}
@@ -175,7 +205,7 @@ def test_fingerprint_excludes_execution_knobs():
     for variant in (
         ProfileRequest(runs=3, execution=ExecutionConfig(jobs=4)),
         ProfileRequest(runs=3, execution=ExecutionConfig(timeout=9.0)),
-        ProfileRequest(runs=3, audit=True),
+        ProfileRequest(runs=3, coz_config=replace(_default_cfg(spec), audit=True)),
     ):
         assert session_fingerprint(
             spec, variant, variant.coz_config or _default_cfg(spec)
@@ -272,7 +302,7 @@ def test_resume_refuses_other_apps_journal(tmp_path):
         )
 
 
-# -- exclusive create / create-or-resume -----------------------------------------
+# -- exclusive create ------------------------------------------------------------
 
 
 def test_create_refuses_to_truncate_existing_journal(tmp_path):
@@ -291,82 +321,49 @@ def test_create_refuses_to_truncate_existing_journal(tmp_path):
         resumed.close()
 
 
-def test_open_creates_fresh_then_resumes_existing(tmp_path):
+# -- the on-disk format is stable --------------------------------------------------
+
+#: sha256 of the journal of a 2-run ``example`` session at defaults; the
+#: serial and the pooled session write the same bytes
+EXAMPLE_JOURNAL_SHA256 = (
+    "e17708cf6b02764ffd8eb446815c6020b9a55e6d8b0caa9f79f7b88ba5223547"
+)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_journal_bytes_are_pinned(tmp_path, jobs):
     path = tmp_path / "session.jsonl"
-    with SessionJournal.open(path, FP) as j:  # no file yet: creates
-        _run_record(j, 0)
-    with SessionJournal.open(path, FP) as j:  # file exists: resumes
-        assert sorted(j.completed(DEFAULT_SEGMENT)) == [0]
-        _run_record(j, 1)
-    resumed = SessionJournal.resume(path, FP)
-    try:
-        assert sorted(resumed.completed(DEFAULT_SEGMENT)) == [0, 1]
-    finally:
-        resumed.close()
+    run_profile_session(registry.build("example"), ProfileRequest(
+        runs=2,
+        execution=ExecutionConfig(jobs=jobs),
+        resilience=ResilienceConfig(journal=str(path)),
+    ))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXAMPLE_JOURNAL_SHA256
 
 
-def test_open_replaces_headerless_journal(tmp_path):
-    # a writer that died between exclusive create and the header fsync
-    # leaves an empty file: nothing to preserve, recreate it (after the
-    # grace window that guards against a live concurrent creator)
-    path = tmp_path / "session.jsonl"
-    path.write_text("")
-    with SessionJournal.open(path, FP, grace_s=0.05) as j:
-        _run_record(j, 0)
-    resumed = SessionJournal.resume(path, FP)
-    try:
-        assert sorted(resumed.completed(DEFAULT_SEGMENT)) == [0]
-    finally:
-        resumed.close()
+def test_stored_version_1_journal_resumes_to_the_same_profile(tmp_path):
+    """A journal written when run records were still converted to and from
+    a separate record type resumes to the uninterrupted session's bytes.
 
-
-def test_open_waits_for_concurrent_creators_header(tmp_path):
-    """Regression: open() treated 'no intact header' as a dead writer and
-    unlinked immediately — but the loser of the create race can observe
-    the winner's file before the winner's header line is flushed, and the
-    unlink put two live writers on the same path.  open() now retries
-    resume through a grace window instead."""
-    import os
-    import threading
-    import time as time_mod
+    ``data/example_chaos_v1.jsonl`` holds runs 0-2 of a 4-run ``example``
+    session under ``FaultPlan.chaos(seed=3, intensity=0.25)``: two run
+    records and one failure record.  Resuming replays them and executes
+    run 3.  The pinned hash is of that uninterrupted session's merged
+    ``ProfileData.to_bytes()``.
+    """
+    from repro.sim.faults import FaultPlan
 
     path = tmp_path / "session.jsonl"
-    # the "winner": holds the exclusively-created file, header not yet written
-    winner = open(path, "x", encoding="utf-8")
-    winner_ino = os.fstat(winner.fileno()).st_ino
-
-    def flush_header():
-        time_mod.sleep(0.1)
-        winner.write(json.dumps({
-            "kind": "header", "version": 1, "fingerprint": canonical(FP),
-        }) + "\n")
-        winner.flush()
-
-    t = threading.Thread(target=flush_header)
-    t.start()
-    try:
-        loser = SessionJournal.open(path, FP, grace_s=5.0)
-    finally:
-        t.join()
-    try:
-        # the loser resumed the winner's live file — same inode, never
-        # unlinked and recreated out from under the winner
-        assert os.stat(path).st_ino == winner_ino
-        assert loser.records == []
-        _run_record(loser, 0)
-    finally:
-        loser.close()
-        winner.close()
-    resumed = SessionJournal.resume(path, FP)
-    try:
-        assert sorted(resumed.completed(DEFAULT_SEGMENT)) == [0]
-    finally:
-        resumed.close()
-
-
-def test_open_still_refuses_other_sessions_journal(tmp_path):
-    # create-or-resume must not weaken the fingerprint guard
-    path = tmp_path / "session.jsonl"
-    SessionJournal.create(path, FP).close()
-    with pytest.raises(JournalError, match="different session"):
-        SessionJournal.open(path, {**FP, "runs": 99})
+    shutil.copyfile(DATA / "example_chaos_v1.jsonl", path)
+    kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
+    assert kinds == ["header", "run", "run", "failure"]
+    resumed = run_profile_session(registry.build("example"), ProfileRequest(
+        runs=4,
+        resilience=ResilienceConfig(
+            faults=FaultPlan.chaos(seed=3, intensity=0.25), resume=str(path)
+        ),
+    ))
+    assert len(resumed.data.failures) == 1 and len(resumed.data.runs) == 3
+    assert hashlib.sha256(resumed.data.to_bytes()).hexdigest() == (
+        "55647a17d8576b6af79c852d5dde12673fbb6f7751b6297433ff754b4f64ec44"
+    )

@@ -1,18 +1,16 @@
 """Sample-pipeline identity against a per-sample reference (DESIGN.md §5i).
 
 The sampler stores run-length-encoded segments and expands sample
-timestamps lazily — with numpy vector ops for long segments.  Its contract
-is *byte identity* with the per-sample reference loop below
-(:func:`_reference_samples`): same Sample tuples, same batch boundaries,
-same snapshot bytes.  These tests pin that contract:
+timestamps lazily.  Its contract is *byte identity* with the per-sample
+reference loop below (:func:`_reference_samples`): same Sample tuples,
+same batch boundaries, same snapshot bytes.  These tests pin that
+contract:
 
 * a deterministic fuzz sweep drives random chunk sequences (periods, rates,
-  batch sizes, carry-in accumulators, segment lengths straddling
-  ``VECTOR_MIN``) through the sampler and the reference and compares
-  everything;
-* the ``SAFE_TIME_MAX`` (2^62) regression: near the int64/float64 ceiling
-  the vector paths must hand off to exact arbitrary-precision arithmetic
-  instead of wrapping around;
+  batch sizes, carry-in accumulators, segments from 0 to ``LONG_SEGMENT``
+  samples) through the sampler and the reference and compares everything;
+* the 2^62 regression: near the int64/float64 ceiling timestamps stay
+  exact integers and never pass the chunk edge;
 * snapshot round trip: a mid-chunk buffer captures to the Sample-tuple wire
   format and rehydrates as a literal segment, and mid-run engine snapshots
   resume bit-identically.
@@ -27,17 +25,18 @@ from dataclasses import replace
 import pytest
 
 from repro.sim.ops import push_frame
-from repro.sim.sampler import (
-    SAFE_TIME_MAX,
-    VECTOR_MIN,
-    ColumnarBuf,
-    Sample,
-    Sampler,
-)
+from repro.sim.sampler import ColumnarBuf, Sample, Sampler
 from repro.sim.source import line
 from repro.sim.thread import VThread
 
 LINES = [line(f"fuzz.c:{i}") for i in range(1, 6)]
+
+#: a long segment: well past the default flush grid of 10 samples
+LONG_SEGMENT = 16
+
+#: near the int64 ceiling, where fixed-width or float64 timestamp math
+#: would wrap or drift
+HUGE_TIME = 1 << 62
 FUNCS = ["", "alpha", "beta"]
 
 
@@ -117,8 +116,8 @@ def _random_chunks(rng, period):
         ln = rng.choice(LINES)
         func = rng.choice(FUNCS)
         callsite = rng.choice(LINES) if func else None
-        # segment lengths from 0 to well past VECTOR_MIN
-        nominal = rng.randrange(0, period * (VECTOR_MIN * 3))
+        # segment lengths from 0 to well past LONG_SEGMENT
+        nominal = rng.randrange(0, period * (LONG_SEGMENT * 3))
         rate = 1.0 if rng.random() < 0.5 else rng.uniform(0.4, 3.0)
         allow_flush = rng.random() < 0.8
         chunks.append((ln, func, callsite, nominal, rate, allow_flush))
@@ -141,18 +140,17 @@ def test_columnar_pipeline_is_byte_identical_to_scalar(seed):
 
 @pytest.mark.parametrize("rate", [1.0, 1.0009, 2.5])
 def test_near_2_62_times_take_the_exact_slow_path(rate):
-    """Regression: segments near SAFE_TIME_MAX must not wrap or drift.
+    """Regression: long segments near 2^62 must not wrap or drift.
 
-    At virtual times around 2^62 the vectorized ``base + k*period`` /
-    ``cpu * rate`` math can overflow int64 or lose float64 precision, so
-    ``account`` must fall back to exact Python integers there — and stay
-    byte-identical to the reference loop, with no sample past the chunk
-    edge.
+    At virtual times around 2^62, int64 ``base + k*period`` math can
+    overflow and ``cpu * rate`` loses float64 precision, so timestamps must
+    be exact Python integers — byte-identical to the reference loop, with
+    no sample past the chunk edge.
     """
     period = 1000
-    n_samples = VECTOR_MIN * 2  # long enough that the vector path would engage
+    n_samples = LONG_SEGMENT * 2
     nominal = period * n_samples
-    now = SAFE_TIME_MAX + math.ceil(nominal * rate)
+    now = HUGE_TIME + math.ceil(nominal * rate)
 
     t = _thread()
     t.activity_line = LINES[0]
