@@ -31,6 +31,7 @@ Linux) because workers inherit the registry state.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Tuple
@@ -201,6 +202,19 @@ def _build_with_speedups(build, speedups, seed: int = 0):
 
 # -- bundled apps ------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Bundled:
+    """A bundled app's builder, imported from its module on first call, so
+    building one app never loads the others."""
+
+    module: str
+    name: str
+
+    def __call__(self, *args: Any, **kwargs: Any) -> AppSpec:
+        module = importlib.import_module(f"repro.apps.{self.module}")
+        return getattr(module, self.name)(*args, **kwargs)
+
+
 def _dedup_builder(optimized: bool = False, **kwargs: Any) -> AppSpec:
     from repro.apps.dedup import build_dedup
 
@@ -215,31 +229,27 @@ def _ferret_builder(optimized: bool = False, **kwargs: Any) -> AppSpec:
 
 
 def _register_builtin() -> None:
-    from repro.apps.blackscholes import build_blackscholes
-    from repro.apps.example import build_example
-    from repro.apps.fluidanimate import build_fluidanimate
-    from repro.apps.memcached import build_memcached
+    # Table 4's app names live in its table; that module is the one bundled
+    # app loaded eagerly
     from repro.apps.parsec_misc import TABLE4, build_parsec_app
-    from repro.apps.sqlite import build_sqlite
-    from repro.apps.streamcluster import build_streamcluster
-    from repro.apps.swaptions import build_swaptions
 
-    register("example", build_example, description="Figure 1 two-thread example")
+    register("example", _Bundled("example", "build_example"),
+             description="Figure 1 two-thread example")
     register("dedup", _dedup_builder, has_optimized=True,
              description="dedup pipeline (§4.2.1)")
     register("ferret", _ferret_builder, has_optimized=True,
              description="ferret image-search pipeline (§4.2.2)")
-    register("sqlite", build_sqlite, has_optimized=True,
+    register("sqlite", _Bundled("sqlite", "build_sqlite"), has_optimized=True,
              description="SQLite indirect-call hotspot (§4.2.3)")
-    register("memcached", build_memcached, has_optimized=True,
+    register("memcached", _Bundled("memcached", "build_memcached"), has_optimized=True,
              description="Memcached CAS contention (§4.2.4)")
-    register("fluidanimate", build_fluidanimate, has_optimized=True,
-             description="fluidanimate custom barrier (§4.2.5)")
-    register("streamcluster", build_streamcluster, has_optimized=True,
-             description="streamcluster barrier (§4.2.5)")
-    register("blackscholes", build_blackscholes, has_optimized=True,
-             description="blackscholes unrolled math (§4.2.6)")
-    register("swaptions", build_swaptions, has_optimized=True,
+    register("fluidanimate", _Bundled("fluidanimate", "build_fluidanimate"),
+             has_optimized=True, description="fluidanimate custom barrier (§4.2.5)")
+    register("streamcluster", _Bundled("streamcluster", "build_streamcluster"),
+             has_optimized=True, description="streamcluster barrier (§4.2.5)")
+    register("blackscholes", _Bundled("blackscholes", "build_blackscholes"),
+             has_optimized=True, description="blackscholes unrolled math (§4.2.6)")
+    register("swaptions", _Bundled("swaptions", "build_swaptions"), has_optimized=True,
              description="swaptions HJM kernel (§4.2.7)")
     for entry in TABLE4:
         register(entry.name, partial(build_parsec_app, entry.name),

@@ -386,7 +386,7 @@ def run_doctor(
         ),
     ))
 
-    # batched dispatch (repro.harness.parallel.RunBatch): shipping several
+    # batched dispatch (repro.harness.parallel.execute_tasks): shipping several
     # runs per worker round trip is execution-only, so a session forced to
     # multi-run batches must be bit-identical to the serial one
     batched = run_profile_session(spec, ProfileRequest(

@@ -16,7 +16,6 @@ __getattr__, __dir__ = _lazy.exports(__name__, {
     "repro.harness.parallel": (
         "AUTO_JOBS",
         "ParallelExecutionWarning",
-        "RetryPolicy",
         "RunOutput",
         "RunTask",
         "Watchdog",
@@ -43,7 +42,6 @@ __all__ = [
     "ProfileOutcome",
     "ProfileRequest",
     "ResilienceConfig",
-    "RetryPolicy",
     "RunOutput",
     "RunTask",
     "SessionJournal",

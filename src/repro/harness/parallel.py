@@ -27,21 +27,19 @@ Resilience model (typed by :mod:`repro.sim.errors`):
 * **Environmental worker failures** — a worker that raises, dies
   (``SIGKILL`` → ``BrokenProcessPool``), or exceeds its deadline gets a
   typed :class:`~repro.sim.errors.WorkerCrashError` /
-  :class:`~repro.sim.errors.WorkerHungError`.  These are retried under a
-  :class:`RetryPolicy`: capped exponential backoff with seeded jitter,
-  bounded in-pool attempts (a broken pool is rebuilt a bounded number of
-  times), and an in-parent execution as the last resort — so the session
-  completes whenever a serial session would.
-* **Watchdog** — with no explicit ``timeout``, each wait is bounded by a
-  deadline derived from the running median of healthy worker wall-times
-  (:class:`Watchdog`), so a hung worker can never hang the session.  Hung
-  futures cannot be ``cancel()``-ed and ``shutdown(wait=False)`` merely
-  orphans the processes, so the first hang terminates the pool outright
-  and the remaining tasks run in the parent.
-* **Circuit breaker** — after ``RetryPolicy.breaker_threshold``
-  *consecutive* worker failures the pool is evidently unhealthy: the
-  breaker opens and every remaining task runs serially in the parent
-  (one warning, not one per task).
+  :class:`~repro.sim.errors.WorkerHungError`.  There is one remedy: the
+  batch's undelivered runs run in the parent.  Every run is a
+  deterministic simulation, so the parent's output is the bytes the worker
+  would have sent, and the session completes whenever a serial session
+  would.  A worker that raised leaves the pool serving the other batches.
+* **Stopping the pool** — a broken pool (a killed worker), a hang, or
+  :data:`BREAKER_THRESHOLD` *consecutive* worker failures stop the pool:
+  every batch that already finished is delivered, the worker processes
+  are terminated (hung futures cannot be ``cancel()``-ed and
+  ``shutdown(wait=False)`` merely orphans the processes), and the
+  remaining runs run in the parent.  With no explicit ``timeout`` each
+  wait is bounded by a :class:`Watchdog` deadline (running median of
+  healthy worker wall-times), so a hung worker can never hang the session.
 
 ``KeyboardInterrupt``/``SystemExit`` are never swallowed: the pool's
 processes are terminated and the interrupt re-raised, and because the
@@ -62,7 +60,6 @@ import concurrent.futures
 import multiprocessing
 import os
 import pickle
-import random
 import signal
 import time
 import warnings
@@ -91,6 +88,10 @@ _FutureCancelled = concurrent.futures.CancelledError
 #: ``min(task count, os.cpu_count())``.
 AUTO_JOBS = 0
 
+#: consecutive worker failures that stop the pool; every remaining run
+#: then runs in the parent
+BREAKER_THRESHOLD = 3
+
 
 class ParallelExecutionWarning(UserWarning):
     """A parallel batch degraded (fallback to serial, or a retried run)."""
@@ -107,38 +108,6 @@ def resolve_jobs(jobs: Optional[int], n_tasks: int) -> int:
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     return max(1, min(jobs, n_tasks))
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the executor retries environmental worker failures.
-
-    Deterministic run failures (:class:`~repro.sim.errors.SimulationError`)
-    are never retried — same seed, same fault — so this policy governs only
-    worker crashes, pool breakage, and watchdog timeouts.
-    """
-
-    #: worker-process attempts per task before falling back to the parent
-    pool_attempts: int = 2
-    #: first backoff sleep; doubles per attempt up to :attr:`backoff_cap_s`
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    #: fraction of each backoff randomized away (seeded, deterministic)
-    jitter: float = 0.5
-    #: jitter stream seed
-    seed: int = 0
-    #: consecutive worker failures that open the circuit breaker
-    breaker_threshold: int = 3
-    #: times a broken pool is rebuilt before giving up on pooling
-    pool_recreations: int = 1
-
-    def backoff_s(self, attempt: int, task_seed: int) -> float:
-        """Capped exponential backoff with seeded jitter for one retry."""
-        base = min(self.backoff_cap_s, self.backoff_base_s * (2 ** attempt))
-        rng = random.Random(
-            (self.seed << 32) ^ task_seed ^ (attempt << 8) ^ 0xBACC
-        )
-        return base * (1.0 - self.jitter * rng.random())
 
 
 class Watchdog:
@@ -346,59 +315,69 @@ def _run_task(task: RunTask) -> RunOutput:
     return out
 
 
-def _enact_worker_faults(task: RunTask, attempt: int) -> None:
+def _enact_worker_faults(task: RunTask) -> None:
     """Make the *worker process* fail, when the plan says so.
 
-    Fires only inside pool workers (never in the parent) and only on a
-    task's first attempt — the attempt number is folded into the fault
-    RNG — so the executor's recovery paths are exercised and the retry
-    then succeeds.
+    Fires only inside pool workers, never in the parent, so the run the
+    parent executes in the worker's place succeeds.
     """
     plan = task.faults
     if plan is None or not (plan.worker_kill or plan.worker_hang):
         return
     if multiprocessing.parent_process() is None:
         return
-    inj = FaultInjector(plan, task.seed, attempt=attempt)
+    inj = FaultInjector(plan, task.seed)
     if inj.worker_kill:
         os.kill(os.getpid(), signal.SIGKILL)
     elif inj.worker_hang:
         time.sleep(plan.worker_hang_s)
 
 
-def _run_task_in_worker(task: RunTask, attempt: int = 0) -> RunOutput:
-    """Worker entry point: the run's output plus measured wall time."""
-    _enact_worker_faults(task, attempt)
-    start = time.perf_counter()
-    out = _run_task(task)
-    out.wall_s = time.perf_counter() - start
-    return out
-
-
 def _run_batch_in_worker(
-    tasks: List[RunTask],
-    attempts: List[int],
-    deadline_monotonic: Optional[float] = None,
+    tasks: List[RunTask], deadline_monotonic: Optional[float] = None,
 ) -> List[RunOutput]:
-    """Worker entry point for one :class:`RunBatch`: outputs in task order.
+    """Worker entry point for one batch: outputs in task order, each with
+    its measured wall time.
 
     Worker faults are enacted per member task — a kill mid-batch loses the
-    whole batch's future and the parent's split-on-retry isolates the
-    poisoned run.  With a session deadline the worker stops *between* runs
-    once it passes and returns the completed prefix (monotonic clocks are
-    system-wide on the supported platforms; a skewed clock merely shifts
-    work back to the parent's deadline handling).
+    whole batch's future, and its runs finish in the parent.  With a
+    session deadline the worker stops *between* runs once it passes and
+    returns the completed prefix (monotonic clocks are system-wide on the
+    supported platforms; a skewed clock merely shifts work back to the
+    parent's deadline handling).
     """
     outs: List[RunOutput] = []
-    for task, attempt in zip(tasks, attempts):
-        if (
-            deadline_monotonic is not None
-            and outs
-            and time.monotonic() >= deadline_monotonic
-        ):
+    for task in tasks:
+        if outs and deadline_monotonic is not None and time.monotonic() >= deadline_monotonic:
             break
-        outs.append(_run_task_in_worker(task, attempt))
+        _enact_worker_faults(task)
+        start = time.perf_counter()
+        out = _run_task(task)
+        out.wall_s = time.perf_counter() - start
+        outs.append(out)
     return outs
+
+
+def _submit(
+    pool: ProcessPoolExecutor, tasks: List[RunTask], deadline_monotonic: Optional[float],
+) -> concurrent.futures.Future:
+    """Hand one batch to the pool: the executor's only dispatch."""
+    return pool.submit(_run_batch_in_worker, tasks, deadline_monotonic)
+
+
+def _for_worker(task: RunTask, forks: bool) -> RunTask:
+    """``task`` as a pool worker receives it.
+
+    A worker looks a run's checkpoint up in its in-memory cache, which
+    only a forked worker inherits warm, then in the store's directory.  A
+    spawn or forkserver worker whose store has no directory can only miss,
+    and records nothing there, so it gets the task without the store and
+    runs cold without importing the checkpoint code.
+    """
+    store = task.checkpoint
+    if forks or store is None or store.directory is not None:
+        return task
+    return replace(task, checkpoint=None)
 
 
 def _run_serial(
@@ -521,146 +500,6 @@ def _audit_identity(tasks, outputs, audit_report) -> None:
     ))
 
 
-@dataclass
-class RunBatch:
-    """A contiguous slice of a session's tasks shipped as one IPC unit.
-
-    The pool's unit of dispatch and retry: one future per batch.  On a
-    worker failure a multi-run batch is split chunk-token style — halved
-    and resubmitted — so one poisoned run cannot keep sinking its
-    siblings; singletons fall back to the per-task retry ladder.
-    """
-
-    bid: int
-    tasks: List[RunTask]
-
-
-class _PoolSession:
-    """Mutable state of one parallel session: pool, batches, retry ledger."""
-
-    def __init__(
-        self,
-        tasks: List[RunTask],
-        jobs: int,
-        retry: RetryPolicy,
-        batch_size: int = 1,
-        deadline_monotonic: Optional[float] = None,
-    ) -> None:
-        self.tasks = tasks
-        self.jobs = jobs
-        self.retry = retry
-        self.deadline_monotonic = deadline_monotonic
-        self.pool: Optional[ProcessPoolExecutor] = None
-        #: one future per live batch, keyed by batch id
-        self.futures: Dict[int, concurrent.futures.Future] = {}
-        self.attempts: Dict[int, int] = {t.index: 0 for t in tasks}
-        self.outputs: Dict[int, RunOutput] = {}
-        self.consecutive_failures = 0
-        self.recreations = 0
-        #: pool unusable (terminated after a hang, or unrecoverably broken)
-        self.dead = False
-        #: breaker open: run everything remaining in the parent
-        self.breaker_open = False
-        self._next_bid = 0
-        self.batches: Dict[int, RunBatch] = {}
-        self._task_batch: Dict[int, int] = {}
-        for i in range(0, len(tasks), max(1, batch_size)):
-            self._new_batch(tasks[i:i + batch_size])
-
-    def _new_batch(self, tasks: List[RunTask]) -> RunBatch:
-        batch = RunBatch(bid=self._next_bid, tasks=tasks)
-        self._next_bid += 1
-        self.batches[batch.bid] = batch
-        for t in tasks:
-            self._task_batch[t.index] = batch.bid
-        return batch
-
-    def batch_of(self, index: int) -> RunBatch:
-        return self.batches[self._task_batch[index]]
-
-    def replace_batch(
-        self, batch: RunBatch, groups: List[List[RunTask]]
-    ) -> List[RunBatch]:
-        """Retire ``batch`` and re-cover its unfinished tasks with ``groups``."""
-        self.batches.pop(batch.bid, None)
-        self.futures.pop(batch.bid, None)
-        return [self._new_batch(g) for g in groups if g]
-
-    def submit(self, batch: RunBatch) -> None:
-        self.futures[batch.bid] = self.pool.submit(
-            _run_batch_in_worker,
-            batch.tasks,
-            [self.attempts[t.index] for t in batch.tasks],
-            self.deadline_monotonic,
-        )
-
-    def submit_unfinished(self) -> None:
-        for bid in sorted(self.batches):
-            batch = self.batches[bid]
-            if bid in self.futures:
-                continue
-            if any(t.index not in self.outputs for t in batch.tasks):
-                self.submit(batch)
-
-    def harvest_done(self) -> None:
-        """Collect every already-finished future (before a pool teardown)."""
-        for fut in list(self.futures.values()):
-            if not fut.done():
-                continue
-            try:
-                outs = fut.result(timeout=0)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except (_FutureCancelled, Exception):
-                continue  # it failed; the main loop will handle its tasks
-            for out in outs:
-                if out.index not in self.outputs:
-                    self.outputs[out.index] = out
-
-    def shutdown(self, now: bool = False) -> None:
-        if self.pool is None:
-            return
-        if now:
-            _terminate_pool(self.pool)
-        else:
-            self.pool.shutdown(wait=True, cancel_futures=True)
-        self.pool = None
-
-    def note_worker_failure(self) -> bool:
-        """Count a worker failure; returns True when the breaker opens."""
-        self.consecutive_failures += 1
-        if (
-            not self.breaker_open
-            and self.consecutive_failures >= self.retry.breaker_threshold
-        ):
-            self.breaker_open = True
-            _warn(
-                f"{self.consecutive_failures} consecutive worker failures: "
-                f"circuit breaker open, running remaining runs serially in "
-                f"the parent"
-            )
-        return self.breaker_open
-
-    def rebuild_pool(self) -> bool:
-        """Replace a broken pool, bounded by the retry policy."""
-        if self.recreations >= self.retry.pool_recreations:
-            return False
-        self.recreations += 1
-        try:
-            if self.pool is not None:
-                self.pool.shutdown(wait=False, cancel_futures=True)
-            self.pool = ProcessPoolExecutor(max_workers=self.jobs)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            _warn(f"could not rebuild process pool ({exc!r})")
-            self.pool = None
-            return False
-        self.futures.clear()
-        self.submit_unfinished()
-        return True
-
-
 def execute_tasks(
     tasks: List[RunTask],
     jobs: int = 1,
@@ -673,29 +512,24 @@ def execute_tasks(
     """Run every task, parallel when asked and possible, serial otherwise.
 
     Outputs come back in task order regardless of completion order.
-    Tasks ship to the pool in :class:`RunBatch` groups of ``batch_runs``
-    (auto-sized from the run count and ``jobs`` when ``None``) so one IPC
-    round trip amortizes over several runs; a failed multi-run batch is
-    split in half and resubmitted, so a single poisoned run degrades to a
-    singleton instead of sinking its batch-mates.
-    Worker failures retry per a default :class:`RetryPolicy`:
-    in-pool with capped exponential backoff first, in the parent last, with
-    a circuit breaker that degrades the whole batch to in-parent serial
-    execution after repeated consecutive failures.  Waits are bounded by
-    ``timeout`` when given (scaled by the number of runs still pending in
-    the awaited batch), else by a :class:`Watchdog` deadline (running
-    median of healthy wall-times); the first hang terminates the pool's
-    processes (hung workers cannot be cancelled) and the remaining tasks
-    run in the parent.  A pool that cannot start degrades the whole batch
-    to serial with a warning.
+    Tasks ship to the pool in batches of ``batch_runs`` contiguous runs
+    (auto-sized from the run count and ``jobs`` when ``None``), one future
+    per batch, so one IPC round trip amortizes over several runs.  When a
+    worker fails, the batch's undelivered runs run in the parent.  Waits
+    are bounded by ``timeout`` when given (scaled by the batch's run
+    count), else by a :class:`Watchdog` deadline.  A broken pool, a hang,
+    or :data:`BREAKER_THRESHOLD` consecutive worker failures stop the
+    pool: finished batches are delivered, the worker processes are
+    terminated, and the remaining runs run in the parent.  A pool that
+    cannot start degrades the whole session to serial with a warning.
 
     ``deadline_monotonic`` (a ``time.monotonic()`` timestamp) bounds the
     whole batch: once it passes, no further task starts, in-flight waits
-    are clamped to the remaining time, the pool is torn down, and the
-    completed prefix is returned — so the returned list may be *shorter*
+    are clamped to the remaining time, the pool is stopped, and the
+    completed runs are returned — so the returned list may be *shorter*
     than ``tasks``.  The profiling service uses this to propagate a job's
     deadline into the executor's watchdog.  Without a deadline every task
-    produces an output, exactly as before.
+    produces an output.
 
     ``on_output`` is invoked once per task with its final output, as soon
     as that output is known — the journal hook.  With an ``audit_report``
@@ -703,13 +537,6 @@ def execute_tasks(
     runs is re-executed in the parent and checked for bit-identity.
     """
     jobs = resolve_jobs(jobs, len(tasks))
-    retry = RetryPolicy()
-
-    def remaining_s() -> Optional[float]:
-        if deadline_monotonic is None:
-            return None
-        return deadline_monotonic - time.monotonic()
-
     if jobs <= 1 or len(tasks) <= 1:
         return _run_serial(tasks, on_output, deadline_monotonic)
 
@@ -722,184 +549,136 @@ def execute_tasks(
 
     try:
         pool = ProcessPoolExecutor(max_workers=jobs)
-    except (KeyboardInterrupt, SystemExit):
-        raise
     except Exception as exc:  # no fork support, no semaphores, ...
         _warn(f"could not start process pool ({exc!r}); running serially")
         return _run_serial(tasks, on_output, deadline_monotonic)
 
-    if batch_runs is not None and batch_runs >= 1:
-        batch_size = batch_runs
-    else:
-        batch_size = auto_batch_size(len(tasks), jobs)
-    session = _PoolSession(
-        tasks, jobs, retry,
-        batch_size=batch_size,
-        deadline_monotonic=deadline_monotonic,
-    )
-    session.pool = pool
+    size = batch_runs if batch_runs and batch_runs >= 1 else auto_batch_size(len(tasks), jobs)
+    batches = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+    forks = multiprocessing.get_start_method() == "fork"
+    outputs: Dict[int, RunOutput] = {}
+    futures: List[concurrent.futures.Future] = []
     watchdog = Watchdog()
+    failures = 0  # consecutive worker failures
+    live = True  # the pool is serving batches
+    expired = False
+
+    def past_deadline() -> bool:
+        return deadline_monotonic is not None and time.monotonic() >= deadline_monotonic
 
     def finish(task: RunTask, out: RunOutput) -> None:
-        session.outputs[task.index] = out
+        outputs[task.index] = out
         if on_output is not None:
             on_output(task, out)
 
-    def run_in_parent(task: RunTask, err: Optional[Exception] = None) -> None:
-        if err is not None:
-            _warn(
-                f"run {task.index} (seed {task.seed}) failed in worker "
-                f"({type(err).__name__}: {err}); retrying in parent"
-            )
-        finish(task, _run_task(task))
+    def deliver(batch: List[RunTask], outs: List[RunOutput]) -> None:
+        for task, out in zip(batch, outs):
+            if not out.failed:
+                watchdog.observe(out.wall_s)
+            finish(task, out)
 
-    def fail_batch(
-        batch: RunBatch,
-        pending: List[RunTask],
-        exc: BaseException,
-        err: Exception,
-        current: RunTask,
-    ) -> None:
-        """React to a worker failure that took down a whole batch future.
+    def stop_pool() -> None:
+        """Terminate the workers, then deliver every batch that finished."""
+        nonlocal live
+        live = False
+        _terminate_pool(pool)
+        for batch, fut in zip(batches, futures):
+            if (
+                fut.done()
+                and not fut.cancelled()
+                and fut.exception() is None
+                and batch[0].index not in outputs
+            ):
+                deliver(batch, fut.result())
 
-        Multi-run batches are halved and resubmitted (chunk-token style) so
-        a single poisoned run converges to a singleton; singletons follow
-        the classic per-task ladder: in-pool retries, then the parent.
-        """
-        if len(pending) < len(batch.tasks):
-            batch = session.replace_batch(batch, [pending])[0]
-        for t in pending:
-            session.attempts[t.index] += 1
-        if session.note_worker_failure():
-            return  # breaker just opened; the loop falls to the parent
-        attempt = session.attempts[current.index] - 1
-        broken = isinstance(exc, (BrokenProcessPool, _FutureCancelled))
-        if len(pending) > 1:
-            _warn(
-                f"a batch of {len(pending)} runs failed in a worker "
-                f"({type(exc).__name__}: {exc}); splitting it and retrying"
-            )
-            mid = (len(pending) + 1) // 2
-            halves = session.replace_batch(
-                batch, [pending[:mid], pending[mid:]]
-            )
-            time.sleep(retry.backoff_s(attempt, current.seed))
-            if broken:
-                # a SIGKILL-ed worker breaks every outstanding future:
-                # rebuild the pool (bounded) and resubmit all unfinished
-                # work, halves included
-                if not session.rebuild_pool():
-                    session.dead = True
-                    run_in_parent(current, err)
-            else:
-                for half in halves:
-                    session.submit(half)
-            return
+    def expire() -> None:
+        """The session deadline passed: keep what finished, run nothing more."""
+        nonlocal expired
+        expired = True
+        if live:
+            stop_pool()
+
+    def worker_failed(batch: List[RunTask], err: Exception, broken: bool) -> None:
+        """Leave ``batch`` to the parent; stop the pool if it is unusable."""
+        nonlocal failures
+        failures += 1
+        first, last = batch[0].index, batch[-1].index
+        runs = f"run {first}" if first == last else f"runs {first}-{last}"
+        _warn(
+            f"{runs} failed in a worker ({type(err).__name__}: {err}); "
+            f"retrying in parent"
+        )
         if broken:
-            time.sleep(retry.backoff_s(attempt, current.seed))
-            if not session.rebuild_pool():
-                session.dead = True
-                run_in_parent(current, err)
-            return
-        if session.attempts[current.index] < retry.pool_attempts:
-            time.sleep(retry.backoff_s(attempt, current.seed))
-            session.submit(batch)
-            return
-        run_in_parent(current, err)
+            stop_pool()
+        elif failures >= BREAKER_THRESHOLD:
+            _warn(
+                f"{failures} consecutive worker failures: circuit breaker "
+                f"open, running remaining runs serially in the parent"
+            )
+            stop_pool()
 
-    expired = False
+    def await_batch(batch: List[RunTask], fut: concurrent.futures.Future) -> None:
+        """Deliver ``batch`` from its worker, or leave it to the parent."""
+        nonlocal failures
+        if timeout is not None:
+            wait_s = timeout * len(batch)
+        else:
+            wait_s = watchdog.deadline_for(len(batch))
+        if deadline_monotonic is not None:
+            wait_s = min(wait_s, max(0.0, deadline_monotonic - time.monotonic()))
+        try:
+            outs = fut.result(timeout=wait_s)
+        except (_FutureTimeout, TimeoutError):
+            if past_deadline():  # the wait was clamped to it: expiry, not a hang
+                expire()
+            else:
+                err = WorkerHungError(
+                    f"worker exceeded its {wait_s:.1f}s deadline", deadline_s=wait_s,
+                )
+                worker_failed(batch, err, broken=True)
+            return
+        except (_FutureCancelled, Exception) as exc:
+            err = WorkerCrashError(f"worker failed ({type(exc).__name__}: {exc})", cause=exc)
+            worker_failed(batch, err, isinstance(exc, (BrokenProcessPool, _FutureCancelled)))
+            return
+        deliver(batch, outs)
+        if outs:
+            failures = 0
+        if len(outs) == len(batch):
+            return
+        if past_deadline():
+            expire()
+        else:  # the worker stopped early with time still on the clock
+            exc = RuntimeError(
+                f"worker returned {len(outs)}/{len(batch)} batch runs before the "
+                f"session deadline"
+            )
+            worker_failed(batch[len(outs):], WorkerCrashError(str(exc), cause=exc), False)
+
     try:
-        session.submit_unfinished()
-        for task in tasks:
-            while task.index not in session.outputs:
-                rem = remaining_s()
-                if rem is not None and rem <= 0:
-                    # deadline passed: keep what finished, reclaim the
-                    # workers, and hand the partial batch back
-                    expired = True
-                    session.harvest_done()
-                    session.shutdown(now=True)
-                    session.dead = True
-                    break
-                if session.dead or session.breaker_open:
-                    run_in_parent(task)
-                    break
-                batch = session.batch_of(task.index)
-                if batch.bid not in session.futures:
-                    session.submit(batch)
-                fut = session.futures[batch.bid]
-                pending = [
-                    t for t in batch.tasks if t.index not in session.outputs
-                ]
-                if timeout is not None:
-                    wait_s = timeout * len(pending)
-                else:
-                    wait_s = watchdog.deadline_for(len(pending))
-                if rem is not None:
-                    wait_s = min(wait_s, rem)
-                try:
-                    outs = fut.result(timeout=wait_s)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except (_FutureTimeout, TimeoutError):
-                    rem = remaining_s()
-                    if rem is not None and rem <= 0:
-                        # the wait was clamped to the deadline, not the
-                        # watchdog bound: this is expiry, not a hang
-                        continue
-                    err = WorkerHungError(
-                        f"worker exceeded its {wait_s:.1f}s deadline",
-                        deadline_s=wait_s,
-                    )
-                    session.note_worker_failure()
-                    # a hung worker cannot be cancelled: harvest what
-                    # finished, reclaim the processes, finish in the parent
-                    session.harvest_done()
-                    session.shutdown(now=True)
-                    session.dead = True
-                    run_in_parent(task, err)
-                except (_FutureCancelled, Exception) as exc:
-                    err = WorkerCrashError(
-                        f"worker failed ({type(exc).__name__}: {exc})",
-                        cause=exc,
-                    )
-                    fail_batch(batch, pending, exc, err, task)
-                else:
-                    session.futures.pop(batch.bid, None)
-                    got = {o.index: o for o in outs}
-                    delivered = [t for t in pending if t.index in got]
-                    if delivered:
-                        session.consecutive_failures = 0
-                    for done_task in delivered:
-                        out = got[done_task.index]
-                        if not out.failed:
-                            watchdog.observe(out.wall_s)
-                        finish(done_task, out)
-                    missing = [t for t in pending if t.index not in got]
-                    if missing:
-                        rem = remaining_s()
-                        if rem is not None and rem <= 0:
-                            continue  # deadline truncation; loop top expires
-                        # the worker returned early with time still on the
-                        # clock: treat the undelivered tail as a crash so
-                        # it retries instead of resubmitting forever
-                        exc = RuntimeError(
-                            f"worker returned {len(got)}/{len(pending)} "
-                            f"batch runs before the session deadline"
-                        )
-                        err = WorkerCrashError(str(exc), cause=exc)
-                        fail_batch(batch, missing, exc, err, task)
+        for batch in batches:
+            shipped = [_for_worker(t, forks) for t in batch]
+            futures.append(_submit(pool, shipped, deadline_monotonic))
+        for batch, fut in zip(batches, futures):
+            if live:
+                await_batch(batch, fut)
+            for task in batch:
+                if expired or task.index in outputs:
+                    continue
+                if past_deadline():
+                    expire()
+                    continue
+                finish(task, _run_task(task))
             if expired:
                 break
-    except (KeyboardInterrupt, SystemExit):
+    except BaseException:
         # never swallow an interrupt — reclaim the workers and re-raise;
         # journaled records are already fsync'd, so the session is resumable
-        session.shutdown(now=True)
-        session.dead = True
+        if live:
+            _terminate_pool(pool)
         raise
-    finally:
-        if not session.dead:
-            session.shutdown(now=False)
+    if live:
+        pool.shutdown(wait=True, cancel_futures=True)
     if audit_report is not None:
-        _audit_identity(tasks, session.outputs, audit_report)
-    return [session.outputs[t.index] for t in tasks if t.index in session.outputs]
+        _audit_identity(tasks, outputs, audit_report)
+    return [outputs[t.index] for t in tasks if t.index in outputs]

@@ -33,10 +33,10 @@ class ExecutionConfig:
     #: per-run timeout in seconds when running in worker processes
     #: (``None`` = the executor's watchdog deadline)
     timeout: Optional[float] = None
-    #: runs shipped per worker dispatch (:class:`~repro.harness.parallel.
-    #: RunBatch`); ``None`` = auto-sized from the run count and ``jobs``,
-    #: ``1`` = classic one-future-per-run dispatch.  Execution-only: the
-    #: merged profile is bit-identical for every batch size.
+    #: runs shipped per worker dispatch (one batch, one future); ``None`` =
+    #: auto-sized from the run count and ``jobs``, ``1`` = one future per
+    #: run.  Execution-only: the merged profile is bit-identical for every
+    #: batch size.
     batch_runs: Optional[int] = None
     #: checkpoint fast-forward (:mod:`repro.harness.checkpoint`): resume
     #: runs from stored prefix snapshots when bit-identical ones exist and

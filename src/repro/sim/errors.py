@@ -13,8 +13,8 @@ Two families share the :class:`SimulationError` root:
   :class:`WorkerCrashError` / :class:`WorkerHungError` subclasses) describe
   what went wrong with the *process* executing a run: a worker died, hung
   past its watchdog deadline, or a run ended in a recorded fault.  Worker
-  failures are environmental and therefore retryable (backoff + circuit
-  breaker, :mod:`repro.harness.parallel`).
+  failures are environmental: the executor runs the lost runs again in the
+  parent, which gives the same bytes (:mod:`repro.harness.parallel`).
 
 Sim-level errors carry ``virtual_ns`` — the virtual timestamp at which the
 run stopped making progress — so failure records can say how far a run got.
@@ -139,8 +139,8 @@ class WorkerCrashError(RunFaultedError):
     """A worker process died or raised while executing a run.
 
     Environmental (pool breakage, a ``SIGKILL``-ed worker, an exception
-    that only reproduces worker-side), hence retryable: the executor backs
-    off and retries, in a fresh pool first and in the parent last.
+    that only reproduces worker-side), hence retryable: the executor runs
+    the worker's undelivered runs in the parent.
     """
 
     def __init__(self, message: str, cause: Optional[BaseException] = None) -> None:

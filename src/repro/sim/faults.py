@@ -2,7 +2,7 @@
 
 Long causal-profiling sessions are only useful if they survive to the end,
 so every recovery path in the harness — typed failure records, watchdog
-deadlines, retry/backoff, journal resume — must be exercisable on demand.
+deadlines, in-parent retry, journal resume — must be exercisable on demand.
 This module injects *virtual* faults into runs, seeded and deterministic:
 the same :class:`FaultPlan` and run seed always produce the same faults at
 the same virtual instants, which makes chaos tests repeatable and lets a
@@ -26,9 +26,9 @@ Fault classes (each an independent per-run probability):
   accounting drift is what the invariant audit exists to catch;
 * ``worker_kill`` / ``worker_hang`` — executor-level faults: the *worker
   process* executing the run SIGKILLs itself or hangs before running.
-  These fire only inside pool workers and only on a task's first attempt,
-  so the executor's backoff/retry and watchdog paths are exercised and the
-  retry succeeds.
+  These fire only inside pool workers, so the executor's stop-the-pool and
+  watchdog paths are exercised and the run, executed again in the parent,
+  succeeds.
 
 Sim-level faults are enabled via ``SimConfig.faults`` (the engine builds a
 :class:`FaultInjector` per run); the harness plumbs a plan end-to-end with
@@ -132,11 +132,11 @@ class FaultInjector:
     ``Random((plan.seed << 32) ^ run_seed ^ salt)`` stream, so injection
     decisions never perturb the profiler's or the engine's RNGs, and two
     executions of the same (plan, seed) pair fault identically.  Worker-
-    level faults additionally fold in the attempt number so they fire only
-    on a task's first try — retries are meant to succeed.
+    level faults draw from a second private stream; only pool workers enact
+    them, so the parent's run in a failed worker's place succeeds.
     """
 
-    def __init__(self, plan: FaultPlan, run_seed: int, attempt: int = 0) -> None:
+    def __init__(self, plan: FaultPlan, run_seed: int) -> None:
         plan.validate()
         self.plan = plan
         self.run_seed = run_seed
@@ -155,14 +155,9 @@ class FaultInjector:
         self.spike_from_ns: Optional[int] = (
             rng.randrange(lo, hi) if plan.jitter_spike > 0 else None
         )
-        # worker faults are drawn per (seed, attempt): first attempt only
-        wrng = random.Random((plan.seed << 32) ^ run_seed ^ (attempt << 16) ^ 0xB0B0)
-        self.worker_kill = attempt == 0 and wrng.random() < plan.worker_kill
-        self.worker_hang = (
-            not self.worker_kill
-            and attempt == 0
-            and wrng.random() < plan.worker_hang
-        )
+        wrng = random.Random((plan.seed << 32) ^ run_seed ^ 0xB0B0)
+        self.worker_kill = wrng.random() < plan.worker_kill
+        self.worker_hang = not self.worker_kill and wrng.random() < plan.worker_hang
         #: private stream for per-batch / per-pause draws during the run
         self._rng = rng
         self._spiked = False

@@ -1,9 +1,9 @@
 """Batched run dispatch and the warm-worker data plane.
 
-Covers the executor's :class:`~repro.harness.parallel.RunBatch` unit:
-auto-sizing, bit-identity across batch sizes, split-on-poison retry, the
-picklability check, and the process-global worker caches (registry spec
-memoization).
+Covers the executor's batch, a slice of runs shipped as one future:
+auto-sizing, bit-identity across batch sizes, a poisoned batch finishing
+in the parent, the picklability check, and the process-global worker
+caches (registry spec memoization).
 """
 
 import multiprocessing
@@ -145,11 +145,10 @@ def test_batched_journal_resume_identity(tmp_path):
 # -- failure semantics -------------------------------------------------------------
 
 def test_poisoned_run_splits_batch_and_session_completes(injected_app):
-    # one poisoned run inside a 4-run batch: the batch splits until the
-    # poison is a singleton, which retries in the parent; the other three
-    # runs complete from workers and the session's data matches serial
+    # one poisoned run inside a 4-run batch sinks the batch's future; its
+    # runs retry in the parent and the session's data matches serial
     spec = injected_app("_test_poisoned", _build_poisoned_seed)
-    with pytest.warns(ParallelExecutionWarning, match="splitting"):
+    with pytest.warns(ParallelExecutionWarning, match="retrying in parent"):
         out = run_profile_session(
             spec, _request(4, spec.scope, jobs=2, batch_runs=4),
         )
@@ -236,7 +235,7 @@ RUNS = 20
 def _warm_ferret_session(monkeypatch, measuring_submit):
     """A cold serial 20-run ferret session fills the checkpoint cache; a
     warm ``jobs=2`` session then runs with ``measuring_submit`` patched
-    over the pool's batch submit.  Asserts the two profiles are equal."""
+    over the executor's batch submit.  Asserts the two profiles are equal."""
     from repro.harness.checkpoint import clear_memory_cache
 
     clear_memory_cache()
@@ -245,7 +244,7 @@ def _warm_ferret_session(monkeypatch, measuring_submit):
             registry.build("ferret"),
             ProfileRequest(runs=RUNS, execution=ExecutionConfig(jobs=1)),
         )
-        monkeypatch.setattr(parallel._PoolSession, "submit", measuring_submit)
+        monkeypatch.setattr(parallel, "_submit", measuring_submit)
         warm = run_profile_session(
             registry.build("ferret"),
             ProfileRequest(runs=RUNS, execution=ExecutionConfig(jobs=2)),
@@ -261,11 +260,11 @@ def test_warm_dispatch_payload_within_budget(monkeypatch):
     pool are a counter, the same on any machine.  The batch count is not
     gated; it depends on the usable cores."""
     shipped = []
-    real_submit = parallel._PoolSession.submit
+    real_submit = parallel._submit
 
-    def measuring_submit(self, batch):
-        shipped.append(len(pickle.dumps(batch.tasks)))
-        return real_submit(self, batch)
+    def measuring_submit(pool, tasks, deadline_monotonic):
+        shipped.append(len(pickle.dumps(tasks)))
+        return real_submit(pool, tasks, deadline_monotonic)
 
     _warm_ferret_session(monkeypatch, measuring_submit)
     assert shipped, "the warm session never dispatched to the pool"
@@ -281,15 +280,16 @@ def test_warm_return_payload_within_budget(monkeypatch):
     worker ships home carries the run summary and the profile document
     as bytes.  Counted as pickled bytes, the same on any machine."""
     returned = []
-    real_submit = parallel._PoolSession.submit
+    real_submit = parallel._submit
 
     def count_outputs(future):
         if future.exception() is None:
             returned.extend(len(pickle.dumps(out)) for out in future.result())
 
-    def measuring_submit(self, batch):
-        real_submit(self, batch)
-        self.futures[batch.bid].add_done_callback(count_outputs)
+    def measuring_submit(pool, tasks, deadline_monotonic):
+        future = real_submit(pool, tasks, deadline_monotonic)
+        future.add_done_callback(count_outputs)
+        return future
 
     _warm_ferret_session(monkeypatch, measuring_submit)
     assert len(returned) == RUNS, "not every run came home from the pool"

@@ -6,6 +6,7 @@ main process (None): a run can then fail *only* worker-side, so the
 executor's retry-in-parent path is observable and the session completes.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -24,7 +25,7 @@ from repro.harness.parallel import (
     ParallelExecutionWarning,
     resolve_jobs,
 )
-from repro.harness.request import ExecutionConfig
+from repro.harness.request import ExecutionConfig, ResilienceConfig
 from repro.harness.runner import ProfileRequest, profile_app, run_profile_session
 from repro.sim.clock import MS
 
@@ -57,6 +58,20 @@ def _build_hang(**kwargs):
     if _in_worker():
         time.sleep(30)
     return build_example(rounds=3)
+
+
+def _build_seed0_hangs(**kwargs):
+    """App whose run with seed 0 hangs, but only inside a pool worker."""
+    spec = build_example(rounds=3)
+    inner = spec.build
+
+    def build(seed):
+        if seed == 0 and _in_worker():
+            time.sleep(30)
+        return inner(seed)
+
+    spec.build = build
+    return spec
 
 
 @pytest.fixture
@@ -196,6 +211,46 @@ def test_hung_workers_are_terminated_on_timeout(injected_app):
     while time.monotonic() < deadline and multiprocessing.active_children():
         time.sleep(0.05)
     assert multiprocessing.active_children() == []
+
+
+def _journaled_runs(path) -> int:
+    """Run and failure records in a session journal."""
+    with open(path) as fh:
+        kinds = [json.loads(line)["kind"] for line in fh]
+    return sum(kind in ("run", "failure") for kind in kinds)
+
+
+def _seed0_hangs_session(spec, path, **execution):
+    return run_profile_session(spec, ProfileRequest(
+        runs=4,
+        coz_config=_small_cfg(spec.scope),
+        execution=ExecutionConfig(jobs=2, batch_runs=1, **execution),
+        resilience=ResilienceConfig(journal=path),
+    ))
+
+
+def test_runs_finished_before_a_hang_are_journaled(injected_app, tmp_path):
+    """Stopping the pool after a hang delivers the batches that already
+    finished through the journal hook, like every other run."""
+    spec = injected_app("_test_seed0_hangs", _build_seed0_hangs)
+    path = str(tmp_path / "hang.jsonl")
+    with pytest.warns(ParallelExecutionWarning, match="retrying in parent"):
+        out = _seed0_hangs_session(spec, path, timeout=2.0)
+    merged = len(out.data.runs) + len(out.data.failures)
+    assert merged == 4
+    assert _journaled_runs(path) == merged
+
+
+def test_runs_finished_before_the_deadline_are_journaled(injected_app, tmp_path):
+    """A session cut at its deadline journals every run it merged, so a
+    resumed session or a service resubmit does not run them again."""
+    spec = injected_app("_test_seed0_hangs", _build_seed0_hangs)
+    path = str(tmp_path / "deadline.jsonl")
+    out = _seed0_hangs_session(spec, path, deadline_s=3.0)
+    assert out.deadline_exceeded
+    merged = len(out.data.runs) + len(out.data.failures)
+    assert 0 < merged < 4
+    assert _journaled_runs(path) == merged
 
 
 def test_pool_start_failure_degrades_to_serial(monkeypatch):

@@ -59,14 +59,6 @@ def test_injector_is_deterministic_per_seed():
         a.spike_from_ns != c.spike_from_ns
 
 
-def test_worker_faults_fire_on_first_attempt_only():
-    plan = FaultPlan(seed=1, worker_kill=1.0, worker_hang=1.0)
-    first = FaultInjector(plan, run_seed=5, attempt=0)
-    retry = FaultInjector(plan, run_seed=5, attempt=1)
-    assert first.worker_kill
-    assert not retry.worker_kill and not retry.worker_hang
-
-
 def test_worker_kill_and_hang_are_mutually_exclusive():
     plan = FaultPlan(seed=1, worker_kill=1.0, worker_hang=1.0)
     inj = FaultInjector(plan, run_seed=5)

@@ -57,6 +57,16 @@ def test_building_an_app_loads_no_analysis_layer(name):
     assert not [m for m in mods if m.startswith(tuple(p + "." for p in layers))]
 
 
+def test_building_an_app_loads_no_other_bundled_app():
+    # Table 4's module holds the names the registry lists, so it loads
+    # with the registry
+    mods = loaded_after("from repro.apps import registry\nregistry.build('sqlite')")
+    apps = {m for m in mods if m.startswith("repro.apps.")}
+    assert apps == {
+        "repro.apps.parsec_misc", "repro.apps.registry", "repro.apps.spec", "repro.apps.sqlite",
+    }
+
+
 def test_worker_run_loads_no_numpy(tmp_path):
     # what a spawn or forkserver pool worker does: import the executor,
     # then run one profiled registry task through the checkpoint store
@@ -75,6 +85,54 @@ def test_worker_run_loads_no_numpy(tmp_path):
     )
     assert "repro.harness.parallel" in mods
     assert not mods & {"numpy"}
+
+
+#: what a checkpoint lookup imports
+CHECKPOINT_CODE = {
+    "repro.harness.checkpoint", "repro.harness.journal", "repro.sim.snapshot", "repro.storage",
+}
+
+#: a picklable program factory that writes the modules of the pool worker
+#: building it to ``<directory>/<pid>.json``
+PROBE = """
+import json, multiprocessing, os, sys
+from repro.apps import registry
+
+def build(directory, seed):
+    if multiprocessing.parent_process() is not None:
+        with open(os.path.join(directory, f"{os.getpid()}.json"), "w") as fh:
+            json.dump(sorted(sys.modules), fh)
+    return registry.build("example").build(seed)
+"""
+
+
+def test_spawn_worker_skips_a_lookup_that_cannot_hit(tmp_path):
+    # a spawn worker starts with an empty checkpoint cache and records
+    # nothing in it when the store has no directory: it runs the task
+    # cold without the checkpoint code, and its output bytes are unchanged
+    (tmp_path / "probe.py").write_text(PROBE)
+    loaded_after(
+        "import multiprocessing as mp, sys\n"
+        f"sys.path.insert(0, {str(tmp_path)!r})\n"
+        "mp.set_start_method('spawn')\n"
+        "from functools import partial\n"
+        "import probe\n"
+        "from repro.apps import registry\n"
+        "from repro.core.config import CozConfig\n"
+        "from repro.harness.checkpoint import CheckpointStore\n"
+        "from repro.harness.parallel import RunTask, execute_tasks\n"
+        "spec = registry.build('example')\n"
+        "tasks = [RunTask(index=i, seed=i, coz_config=CozConfig(scope=spec.scope),\n"
+        f"                 program_factory=partial(probe.build, {str(tmp_path)!r}),\n"
+        "                 progress_points=tuple(spec.progress_points),\n"
+        "                 checkpoint=CheckpointStore('gate')) for i in range(2)]\n"
+        "assert execute_tasks(tasks, jobs=2) == execute_tasks(tasks, jobs=1)\n"
+    )
+    workers = [json.loads(p.read_text()) for p in tmp_path.glob("*.json")]
+    assert workers, "no pool worker built a program"
+    for mods in workers:
+        assert "repro.harness.parallel" in mods
+        assert not set(mods) & CHECKPOINT_CODE
 
 
 def test_service_client_loads_no_profiler(tmp_path):
