@@ -33,7 +33,7 @@ __getattr__, __dir__ = _lazy.exports(__name__, {
         "build_line_profile",
     ),
     "repro.core.profiler": ("CausalProfiler",),
-    "repro.core.progress": ("LatencySpec", "ProgressPoint", "ProgressTracker"),
+    "repro.core.progress": ("LatencySpec", "ProgressPoint"),
     "repro.core.report": ("render_line_graph", "render_profile", "to_coz_format", "to_csv"),
     "repro.core.speedup": ("DelayEngine",),
 })
@@ -59,7 +59,6 @@ __all__ = [
     "CausalProfiler",
     "LatencySpec",
     "ProgressPoint",
-    "ProgressTracker",
     "render_line_graph",
     "render_profile",
     "to_coz_format",

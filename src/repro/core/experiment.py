@@ -53,20 +53,6 @@ class ExperimentResult:
         timeline ('runtime minus the total inserted delay', §2)."""
         return self.duration_ns - self.inserted_delay_ns
 
-    def rate(self, point: str) -> float:
-        """Progress-point visits per effective nanosecond."""
-        eff = self.effective_ns
-        if eff <= 0:
-            return 0.0
-        return self.visits.get(point, 0) / eff
-
-    def period(self, point: str) -> Optional[float]:
-        """Effective ns per progress visit (p in §3.2), None if no visits."""
-        v = self.visits.get(point, 0)
-        if v <= 0:
-            return None
-        return self.effective_ns / v
-
     def in_flight(self, begin: str, end: str) -> float:
         """Average number of in-progress requests between two points (L)."""
         l0 = self.counts_before.get(begin, 0) - self.counts_before.get(end, 0)

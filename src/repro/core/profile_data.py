@@ -85,8 +85,6 @@ class RunFailure:
     message: str
     #: virtual time the run reached before failing (0 when unknown)
     virtual_ns: int = 0
-    #: executor attempts consumed before giving up
-    attempts: int = 1
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -95,7 +93,6 @@ class RunFailure:
             "error_type": self.error_type,
             "message": self.message,
             "virtual_ns": self.virtual_ns,
-            "attempts": self.attempts,
         }
 
     @classmethod
@@ -106,20 +103,16 @@ class RunFailure:
             error_type=d["error_type"],
             message=d["message"],
             virtual_ns=d.get("virtual_ns", 0),
-            attempts=d.get("attempts", 1),
         )
 
     @classmethod
-    def from_error(
-        cls, index: int, seed: int, err: BaseException, attempts: int = 1
-    ) -> "RunFailure":
+    def from_error(cls, index: int, seed: int, err: BaseException) -> "RunFailure":
         return cls(
             index=index,
             seed=seed,
             error_type=type(err).__name__,
             message=str(err),
             virtual_ns=getattr(err, "virtual_ns", 0),
-            attempts=attempts,
         )
 
 

@@ -9,8 +9,9 @@ LD_PRELOADed runtime plus its dedicated profiler thread:
 * it runs performance experiments: pick a line (the first in-scope sampled
   line, or a fixed line for focused/planner-directed studies), pick a
   virtual speedup (0% half the time), insert delays via the counter
-  protocol for a fixed duration, log progress-point deltas, cool off,
-  repeat.  The line/speedup selection policy itself lives in
+  protocol for a fixed duration, log progress-point deltas (counts read
+  at the experiment's start and end), cool off, repeat.  The line/speedup
+  selection policy itself lives in
   :class:`repro.plan.schedule.RunScheduler` — the profiler executes
   whatever schedule its configuration (free or planner-directed) implies;
 * if an experiment sees fewer than ``min_visits`` progress visits, the
@@ -31,7 +32,7 @@ from collections import Counter
 from repro.core.config import CozConfig
 from repro.core.experiment import ExperimentResult
 from repro.core.profile_data import ProfileData, RunInfo
-from repro.core.progress import LatencySpec, ProgressPoint, ProgressTracker
+from repro.core.progress import LatencySpec, ProgressPoint
 from repro.core.speedup import DelayEngine
 from repro.plan.schedule import RunScheduler
 from bisect import bisect_left
@@ -92,7 +93,16 @@ class CausalProfiler(ProfilerHook):
     ) -> None:
         self.cfg = config or CozConfig()
         self.cfg.validate()
-        self.tracker = ProgressTracker(list(progress_points))
+        # exact points (source-level and breakpoint) are counted by the
+        # engine in Engine.progress_counts; sampled points are counted here,
+        # from attributed samples, because only the profiler attributes them
+        self._breakpoints = [
+            (p.line, p.name) for p in progress_points if p.kind == "breakpoint"
+        ]
+        self._sampled_lines = {
+            p.line: p.name for p in progress_points if p.kind == "sampled"
+        }
+        self.sampled_counts: Counter = Counter()
         self.latency_specs = list(latency_specs)
         self.auditor = auditor
         if self.auditor is None and self.cfg.audit:
@@ -139,8 +149,8 @@ class CausalProfiler(ProfilerHook):
     def on_run_start(self, engine) -> None:
         if self.cfg.enable_sampling:
             engine.enable_sampling()
-        for line in self.tracker.breakpoint_lines:
-            engine.watch_line(line)
+        for line, name in self._breakpoints:
+            engine.watch_line(line, name)
         # startup: process debug information for the whole binary (§3.1)
         program = getattr(engine, "program", None)
         if program is not None and engine.main_thread is not None:
@@ -181,9 +191,9 @@ class CausalProfiler(ProfilerHook):
         """Attribute a sample batch and run the experiment protocol on it.
 
         Each segment carries one (line, callchain, func) for ``n``
-        consecutive samples, so attribution, per-line totals, tracker
-        counts, and the in-scope selection pool (which must preserve
-        duplicate multiplicity — ``select_line`` draws uniformly over
+        consecutive samples, so attribution, per-line totals, sampled
+        progress counts, and the in-scope selection pool (which must
+        preserve duplicate multiplicity — ``select_line`` draws uniformly over
         *samples*, not lines) are all O(1) per segment.  Experiment hits
         need the ``time >= start_ns`` cut: closed form for affine
         timestamp segments, a binary search over the (nondecreasing)
@@ -198,8 +208,8 @@ class CausalProfiler(ProfilerHook):
         in_scope: List[SourceLine] = []
         first_in_scope = cfg.scope.first_in_scope
         line_samples = self.line_samples
-        sampled_lines_get = self.tracker._sampled_lines.get
-        tracker_counts = self.tracker.counts
+        sampled_lines_get = self._sampled_lines.get
+        sampled_counts = self.sampled_counts
         running = self.state == _RUNNING
         waiting = self.state == _WAIT  # in_scope only feeds selection
         exp_line = self._line
@@ -221,7 +231,7 @@ class CausalProfiler(ProfilerHook):
                     line_samples[attributed] = line_samples.get(attributed, 0) + 1
                     name = sampled_lines_get(attributed)
                     if name is not None:
-                        tracker_counts[name] += 1
+                        sampled_counts[name] += 1
                     if waiting:
                         in_scope.append(attributed)
                     if running and attributed == exp_line and s.time >= start_ns:
@@ -239,7 +249,7 @@ class CausalProfiler(ProfilerHook):
             line_samples[attributed] = line_samples.get(attributed, 0) + n
             name = sampled_lines_get(attributed)
             if name is not None:
-                tracker_counts[name] += n
+                sampled_counts[name] += n
             if waiting:
                 in_scope.extend([attributed] * n)
             if running and attributed == exp_line:
@@ -278,7 +288,7 @@ class CausalProfiler(ProfilerHook):
         delay_ns = self._pct * engine.cfg.sample_period_ns // 100
         self._delay_ns = delay_ns
         self._start_ns = engine.now
-        self._counts_before = self.tracker.snapshot()
+        self._counts_before = self._progress_counts()
         self._s_obs = 0
         self.delays.begin(delay_ns, (t for t in engine.threads if t.alive))
         self.state = _RUNNING
@@ -305,8 +315,9 @@ class CausalProfiler(ProfilerHook):
                 if pause > 0:
                     t.pending_pause_ns += pause
         count = self.delays.end()
-        counts_after = self.tracker.snapshot()
-        visits = ProgressTracker.delta(self._counts_before, counts_after)
+        counts_after = self._progress_counts()
+        before = self._counts_before
+        visits = {name: n - before.get(name, 0) for name, n in counts_after.items()}
         delay_ns = self._delay_ns
         result = ExperimentResult(
             line=self._line,
@@ -336,6 +347,11 @@ class CausalProfiler(ProfilerHook):
         cool_token = self._experiment_token
         engine.call_after(cooloff, _ProfTimer(self, _ProfTimer.COOL, cool_token))
 
+    def _progress_counts(self) -> dict:
+        """Every progress point's count so far, read at an experiment
+        boundary; keys in first-visit order, exact points before sampled."""
+        return {**self.engine.progress_counts, **self.sampled_counts}
+
     def _leave_cooloff(self, token: int) -> None:
         if token != self._experiment_token or self.state != _COOLOFF:
             return
@@ -358,7 +374,7 @@ class CausalProfiler(ProfilerHook):
             raise SnapshotError("audited profiler runs are not snapshot-aware")
         return {
             "data": self.data.to_json(),
-            "tracker_counts": dict(self.tracker.counts),
+            "sampled_counts": dict(self.sampled_counts),
             "line_samples": dict(self.line_samples),
             "state": self.state,
             "experiment_duration": self.experiment_duration,
@@ -388,7 +404,7 @@ class CausalProfiler(ProfilerHook):
         if self.auditor is not None:
             raise SnapshotError("audited profiler runs are not snapshot-aware")
         self.data = ProfileData.from_json(state["data"])
-        self.tracker.counts = Counter(state["tracker_counts"])
+        self.sampled_counts = Counter(state["sampled_counts"])
         self.line_samples = Counter(state["line_samples"])
         self.state = state["state"]
         self.experiment_duration = state["experiment_duration"]
@@ -434,14 +450,6 @@ class CausalProfiler(ProfilerHook):
             self.delays.credit(thread)
             return 0
         return self.delays.reconcile(thread)
-
-    # ------------------------------------------------------------------ progress
-
-    def on_progress(self, thread: VThread, name: str) -> None:
-        self.tracker.on_source_visit(name)
-
-    def on_line_visit(self, thread: VThread, line: SourceLine) -> None:
-        self.tracker.on_line_visit(line)
 
     # ------------------------------------------------------------------ stats
 

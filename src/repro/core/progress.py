@@ -5,9 +5,13 @@ Coz supports three progress-point mechanisms, all reproduced here:
 * **source-level** — the ``COZ_PROGRESS`` macro; in the simulator, a
   :class:`~repro.sim.ops.Progress` op with a matching name;
 * **breakpoint** — a counter incremented whenever execution *reaches* a given
-  source line (the engine reports Work ops starting on watched lines);
+  source line (each Work op that starts on a watched line);
 * **sampled** — no exact counts: the number of IP samples attributed to the
   line stands in for visits (rates still compare across experiments).
+
+The engine counts the exact kinds (source-level and breakpoint) in
+``Engine.progress_counts``; the profiler counts sampled points from the
+samples it attributes, and reads both at experiment boundaries.
 
 A :class:`LatencySpec` names a begin/end pair of progress points; average
 latency is inferred from Little's law (L = lambda x W) in the analysis stage.
@@ -15,9 +19,8 @@ latency is inferred from Little's law (L = lambda x W) in the analysis stage.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.sim.source import SourceLine
 
@@ -44,53 +47,3 @@ class LatencySpec:
     name: str
     begin: str   # name of the begin progress point
     end: str     # name of the end progress point
-
-
-class ProgressTracker:
-    """Runtime visit counters for all registered progress points."""
-
-    def __init__(self, points: List[ProgressPoint]) -> None:
-        self.points = list(points)
-        self.counts: Counter = Counter()
-        self._source_names = {p.name for p in points if p.kind == "source"}
-        self._breakpoint_lines: Dict[SourceLine, str] = {
-            p.line: p.name for p in points if p.kind == "breakpoint"
-        }
-        self._sampled_lines: Dict[SourceLine, str] = {
-            p.line: p.name for p in points if p.kind == "sampled"
-        }
-
-    # -- event feeds ---------------------------------------------------------
-
-    def on_source_visit(self, name: str) -> None:
-        """A Progress op ran. Unregistered names are counted too, so apps can
-        declare progress points lazily (Coz counts every COZ_PROGRESS)."""
-        self.counts[name] += 1
-
-    def on_line_visit(self, line: SourceLine) -> None:
-        name = self._breakpoint_lines.get(line)
-        if name is not None:
-            self.counts[name] += 1
-
-    def on_sample_line(self, line: Optional[SourceLine]) -> None:
-        if line is None:
-            return
-        name = self._sampled_lines.get(line)
-        if name is not None:
-            self.counts[name] += 1
-
-    # -- queries ------------------------------------------------------------------
-
-    @property
-    def breakpoint_lines(self) -> List[SourceLine]:
-        return list(self._breakpoint_lines)
-
-    def snapshot(self) -> Dict[str, int]:
-        """Copy of all counters (taken at experiment boundaries)."""
-        return dict(self.counts)
-
-    @staticmethod
-    def delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-        """Per-point visit deltas between two snapshots."""
-        keys = set(before) | set(after)
-        return {k: after.get(k, 0) - before.get(k, 0) for k in keys}

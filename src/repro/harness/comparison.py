@@ -31,7 +31,6 @@ def measure_runtimes(
     runs: int = 10,
     base_seed: int = 0,
     jobs: int = 1,
-    timeout: Optional[float] = None,
     app_ref=None,
     audit_report=None,
     faults: Optional[FaultPlan] = None,
@@ -68,7 +67,7 @@ def measure_runtimes(
                 outputs[idx] = out
     remaining = [t for t in tasks if t.index not in outputs]
     for out in execute_tasks(
-        remaining, jobs=jobs, timeout=timeout,
+        remaining, jobs=jobs,
         audit_report=audit_report if jobs != 1 else None,
         on_output=journal.hook(segment) if journal is not None else None,
     ):
@@ -135,7 +134,6 @@ def compare_builds(
     runs: int = 10,
     base_seed: int = 0,
     jobs: int = 1,
-    timeout: Optional[float] = None,
     baseline_ref=None,
     optimized_ref=None,
     audit_report=None,
@@ -169,13 +167,13 @@ def compare_builds(
     try:
         baseline = measure_runtimes(
             baseline_factory, runs=runs, base_seed=base_seed,
-            jobs=jobs, timeout=timeout, app_ref=baseline_ref,
+            jobs=jobs, app_ref=baseline_ref,
             audit_report=audit_report, faults=faults,
             journal=jr, segment="baseline",
         )
         optimized = measure_runtimes(
             optimized_factory, runs=runs, base_seed=base_seed + runs,
-            jobs=jobs, timeout=timeout, app_ref=optimized_ref,
+            jobs=jobs, app_ref=optimized_ref,
             audit_report=audit_report, faults=faults,
             journal=jr, segment="optimized",
         )
@@ -202,7 +200,6 @@ def compare_app(
     runs: int = 10,
     base_seed: int = 0,
     jobs: int = 1,
-    timeout: Optional[float] = None,
     audit_report=None,
     faults: Optional[FaultPlan] = None,
     journal: Optional[str] = None,
@@ -222,7 +219,6 @@ def compare_app(
         runs=runs,
         base_seed=base_seed,
         jobs=jobs,
-        timeout=timeout,
         baseline_ref=base.registry_ref,
         optimized_ref=opt.registry_ref,
         audit_report=audit_report,

@@ -37,9 +37,9 @@ Resilience model (typed by :mod:`repro.sim.errors`):
   every batch that already finished is delivered, the worker processes
   are terminated (hung futures cannot be ``cancel()``-ed and
   ``shutdown(wait=False)`` merely orphans the processes), and the
-  remaining runs run in the parent.  With no explicit ``timeout`` each
-  wait is bounded by a :class:`Watchdog` deadline (running median of
-  healthy worker wall-times), so a hung worker can never hang the session.
+  remaining runs run in the parent.  Each wait is bounded by a
+  :class:`Watchdog` deadline (running median of healthy worker
+  wall-times), so a hung worker can never hang the session.
 
 ``KeyboardInterrupt``/``SystemExit`` are never swallowed: the pool's
 processes are terminated and the interrupt re-raised, and because the
@@ -110,26 +110,28 @@ def resolve_jobs(jobs: Optional[int], n_tasks: int) -> int:
     return max(1, min(jobs, n_tasks))
 
 
+#: healthy runs the watchdog must see before it trusts their median
+WATCHDOG_MIN_SAMPLES = 3
+#: a wait may take this many times the median run wall-time per run ...
+WATCHDOG_FACTOR = 8.0
+#: ... plus this many seconds
+WATCHDOG_GRACE_S = 2.0
+#: the cap on every wait, and the bound before the median is trusted
+WATCHDOG_MAX_DEADLINE_S = 300.0
+
+
 class Watchdog:
     """Per-run deadline from a running median of healthy wall-times.
 
-    Until :attr:`min_samples` healthy runs have reported, the deadline is
-    the generous absolute cap; after that it is
-    ``factor * median + grace_s`` (still capped).  Only healthy worker
-    runs feed the median — failed or faulted runs do not shrink it.
+    The one bound on a wait for a worker.  Until
+    :data:`WATCHDOG_MIN_SAMPLES` healthy runs have reported, the deadline
+    is the generous absolute cap :data:`WATCHDOG_MAX_DEADLINE_S`; after
+    that it is ``WATCHDOG_FACTOR * median + WATCHDOG_GRACE_S`` (still
+    capped).  Only healthy worker runs feed the median — failed or
+    faulted runs do not shrink it.
     """
 
-    def __init__(
-        self,
-        factor: float = 8.0,
-        grace_s: float = 2.0,
-        min_samples: int = 3,
-        max_deadline_s: float = 300.0,
-    ) -> None:
-        self.factor = factor
-        self.grace_s = grace_s
-        self.min_samples = min_samples
-        self.max_deadline_s = max_deadline_s
+    def __init__(self) -> None:
         self._walls: List[float] = []
 
     def observe(self, wall_s: float) -> None:
@@ -148,10 +150,10 @@ class Watchdog:
 
     def deadline_for(self, n_runs: int) -> float:
         """Deadline for a wait covering ``n_runs`` batched runs."""
-        if len(self._walls) < self.min_samples:
-            return self.max_deadline_s
-        bound = self.factor * self.median_s * max(1, n_runs) + self.grace_s
-        return min(self.max_deadline_s, bound)
+        if len(self._walls) < WATCHDOG_MIN_SAMPLES:
+            return WATCHDOG_MAX_DEADLINE_S
+        bound = WATCHDOG_FACTOR * self.median_s * max(1, n_runs) + WATCHDOG_GRACE_S
+        return min(WATCHDOG_MAX_DEADLINE_S, bound)
 
 
 @dataclass
@@ -503,7 +505,6 @@ def _audit_identity(tasks, outputs, audit_report) -> None:
 def execute_tasks(
     tasks: List[RunTask],
     jobs: int = 1,
-    timeout: Optional[float] = None,
     audit_report=None,
     on_output: Optional[Callable[[RunTask, RunOutput], None]] = None,
     deadline_monotonic: Optional[float] = None,
@@ -515,9 +516,8 @@ def execute_tasks(
     Tasks ship to the pool in batches of ``batch_runs`` contiguous runs
     (auto-sized from the run count and ``jobs`` when ``None``), one future
     per batch, so one IPC round trip amortizes over several runs.  When a
-    worker fails, the batch's undelivered runs run in the parent.  Waits
-    are bounded by ``timeout`` when given (scaled by the batch's run
-    count), else by a :class:`Watchdog` deadline.  A broken pool, a hang,
+    worker fails, the batch's undelivered runs run in the parent.  Each
+    wait is bounded by a :class:`Watchdog` deadline.  A broken pool, a hang,
     or :data:`BREAKER_THRESHOLD` consecutive worker failures stop the
     pool: finished batches are delivered, the worker processes are
     terminated, and the remaining runs run in the parent.  A pool that
@@ -620,10 +620,7 @@ def execute_tasks(
     def await_batch(batch: List[RunTask], fut: concurrent.futures.Future) -> None:
         """Deliver ``batch`` from its worker, or leave it to the parent."""
         nonlocal failures
-        if timeout is not None:
-            wait_s = timeout * len(batch)
-        else:
-            wait_s = watchdog.deadline_for(len(batch))
+        wait_s = watchdog.deadline_for(len(batch))
         if deadline_monotonic is not None:
             wait_s = min(wait_s, max(0.0, deadline_monotonic - time.monotonic()))
         try:

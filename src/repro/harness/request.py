@@ -3,9 +3,10 @@
 :class:`ProfileRequest` holds the session-level knobs (run count, seeds,
 profiler config) plus three sub-configs grouped by concern:
 
-* :class:`ExecutionConfig` — *how* runs execute (workers, timeouts,
-  checkpoint fast-forward).  Execution-only: never part of the session
-  fingerprint, because results are bit-identical across these settings.
+* :class:`ExecutionConfig` — *how* runs execute (workers, batching,
+  checkpoint fast-forward, the session deadline).  Execution-only: never
+  part of the session fingerprint, because results are bit-identical
+  across these settings.
 * :class:`ResilienceConfig` — fault injection and crash recovery (chaos
   plan, journal/resume paths, the stop-early testing hook).  The fault
   plan *is* fingerprinted (it changes results); the journal paths are not.
@@ -30,9 +31,6 @@ class ExecutionConfig:
 
     #: worker processes: 1 = serial, 0/None = auto (cpu-count-aware)
     jobs: int = 1
-    #: per-run timeout in seconds when running in worker processes
-    #: (``None`` = the executor's watchdog deadline)
-    timeout: Optional[float] = None
     #: runs shipped per worker dispatch (one batch, one future); ``None`` =
     #: auto-sized from the run count and ``jobs``, ``1`` = one future per
     #: run.  Execution-only: the merged profile is bit-identical for every

@@ -100,7 +100,7 @@ def session_fingerprint(
 ) -> dict:
     """Everything that determines a session's results, canonicalized.
 
-    Execution-only knobs (``jobs``, ``timeout``, checkpoint fast-forward,
+    Execution-only knobs (``jobs``, checkpoint fast-forward,
     the observational ``audit`` flag) are excluded: a session
     may be resumed with a different worker count and still merge
     bit-identically.  The per-run seed overrides the config's ``seed``
@@ -230,7 +230,6 @@ def run_profile_session(
             executed = execute_tasks(
                 fresh,
                 jobs=execution.jobs,
-                timeout=execution.timeout,
                 audit_report=audit_report if execution.jobs != 1 else None,
                 on_output=on_output,
                 deadline_monotonic=deadline_monotonic,
@@ -300,7 +299,6 @@ def profile_program(
     min_speedup_amounts: int = 2,
     base_seed: int = 0,
     jobs: int = 1,
-    timeout: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
     plan: Optional[PlanConfig] = None,
 ) -> ProfileOutcome:
@@ -322,7 +320,7 @@ def profile_program(
         base_seed=base_seed,
         coz_config=coz_config,
         min_speedup_amounts=min_speedup_amounts,
-        execution=ExecutionConfig(jobs=jobs, timeout=timeout),
+        execution=ExecutionConfig(jobs=jobs),
         resilience=ResilienceConfig(faults=faults),
         plan=plan,
     )
@@ -336,7 +334,6 @@ def profile_app(
     min_speedup_amounts: int = 2,
     base_seed: int = 0,
     jobs: int = 1,
-    timeout: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
@@ -348,7 +345,7 @@ def profile_app(
         base_seed=base_seed,
         coz_config=coz_config,
         min_speedup_amounts=min_speedup_amounts,
-        execution=ExecutionConfig(jobs=jobs, timeout=timeout),
+        execution=ExecutionConfig(jobs=jobs),
         resilience=ResilienceConfig(faults=faults, journal=journal, resume=resume),
         plan=plan,
     )

@@ -28,9 +28,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.harness.service.wire import JobSpec
 
-__all__ = ["Job", "JobQueue", "TERMINAL_STATES"]
-
-TERMINAL_STATES = frozenset({"done", "degraded", "failed", "shed"})
+__all__ = ["Job", "JobQueue"]
 
 
 @dataclass
@@ -61,10 +59,6 @@ class Job:
     #: terminal error, as ``{"error": <type>, "message": <str>}``
     error: Optional[Dict[str, Any]] = None
     done_event: threading.Event = field(default_factory=threading.Event)
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
 
     def finish(self, state: str, result: Optional[Dict[str, Any]] = None,
                error: Optional[Dict[str, Any]] = None) -> None:

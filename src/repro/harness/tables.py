@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import io
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.harness.comparison import Comparison
 from repro.harness.overhead import OverheadBreakdown
-from repro.harness.prediction import AccuracyResult
 
 
 def render_table3(rows: Sequence[Comparison]) -> str:
@@ -42,13 +41,4 @@ def render_figure9(rows: Sequence[OverheadBreakdown]) -> str:
             f"{sum(r.delay_pct for r in rows) / n:>8.1f}%"
             f"{sum(r.total_pct for r in rows) / n:>8.1f}%\n"
         )
-    return buf.getvalue()
-
-
-def render_accuracy(rows: Iterable[AccuracyResult]) -> str:
-    """Render the §4.3 accuracy table: predicted vs realized."""
-    buf = io.StringIO()
-    buf.write("Prediction accuracy (§4.3 analogue)\n")
-    for r in rows:
-        buf.write(r.row() + "\n")
     return buf.getvalue()

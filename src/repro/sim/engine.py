@@ -259,9 +259,10 @@ class Engine:
 
         #: number of threads currently marked as spinning
         self.interference = 0
-        #: lines registered as breakpoint progress points
-        self._line_watchers: Set[SourceLine] = set()
-        #: raw visit counts of source-level progress points
+        #: breakpoint progress points: watched line -> point name
+        self._line_watchers: Dict[SourceLine, str] = {}
+        #: exact progress-point visit counts (source-level Progress ops and
+        #: breakpoint lines), keyed in first-visit order
         self.progress_counts: Counter = Counter()
         #: total profiler-inserted pause time across all threads
         self.total_delay_ns = 0
@@ -337,9 +338,10 @@ class Engine:
         ):
             self._block_observers.append(obs)
 
-    def watch_line(self, line: SourceLine) -> None:
-        """Register a breakpoint progress point on ``line``."""
-        self._line_watchers.add(line)
+    def watch_line(self, line: SourceLine, name: str) -> None:
+        """Count each ``Work`` that starts on ``line`` as a visit to ``name``
+        (a breakpoint progress point)."""
+        self._line_watchers[line] = name
 
     def enable_sampling(self) -> None:
         self.sampling_enabled = True
@@ -1043,8 +1045,8 @@ class Engine:
                 # _setup_op can never apply
                 line = op.line
                 watchers = self._line_watchers
-                if watchers and line in watchers and self.hook is not None:
-                    self.hook.on_line_visit(t, line)
+                if watchers and line in watchers:
+                    self.progress_counts[watchers[line]] += 1
                 if line is not t.activity_line:
                     t.activity_line = line
                     t.chain_cache = None
@@ -1153,8 +1155,8 @@ class Engine:
     def _setup_work(self, t: VThread, op: O.Work) -> None:
         """Start a ``Work`` subclass (``_advance`` inlines this -- keep in sync)."""
         line = op.line
-        if line in self._line_watchers and self.hook is not None:
-            self.hook.on_line_visit(t, line)
+        if line in self._line_watchers:
+            self.progress_counts[self._line_watchers[line]] += 1
         if line is not t.activity_line:
             t.activity_line = line
             t.chain_cache = None
@@ -1315,8 +1317,6 @@ class Engine:
     def _do_progress(self, t: VThread, op) -> None:
         name = op.name
         self.progress_counts[name] += 1
-        if self.hook is not None:
-            self.hook.on_progress(t, name)
         for obs in self.observers:
             obs.on_progress(t, name)
 
@@ -1361,7 +1361,5 @@ class Engine:
         for w in t.joiners:
             self._wake(w, waker=t, result=t.exit_value)
         t.joiners.clear()
-        if self.hook is not None:
-            self.hook.on_thread_exit(t)
         for obs in self.observers:
             obs.on_thread_exit(t)

@@ -151,9 +151,9 @@ class WorkerCrashError(RunFaultedError):
 class WorkerHungError(RunFaultedError):
     """A worker exceeded its watchdog deadline.
 
-    The deadline is either the caller's explicit per-run timeout or the
-    executor's running-median-derived watchdog bound.  Hung workers cannot
-    be cancelled, so raising this also terminates the pool's processes.
+    The deadline is the executor's running-median-derived watchdog bound.
+    Hung workers cannot be cancelled, so raising this also terminates the
+    pool's processes.
     """
 
     def __init__(self, message: str, deadline_s: Optional[float] = None) -> None:

@@ -5,8 +5,12 @@ The engine exposes two integration surfaces:
 * :class:`ProfilerHook` — the single *active* profiler (Coz).  It may inject
   behaviour: pauses before/after scheduling edges and extra CPU cost for
   sample processing.  This is the moral equivalent of Coz's LD_PRELOAD
-  runtime: it sees every sample batch, every blocking/waking call, thread
-  creation/exit, and progress-point visits.
+  runtime: it sees every sample batch, every blocking/waking call and
+  thread creation.  It is not called on progress-point visits: the engine
+  counts exact visits (source-level ``Progress`` ops and lines registered
+  with ``Engine.watch_line``) in ``Engine.progress_counts``, and the
+  profiler reads those counters at experiment boundaries, as Coz reads its
+  progress counters.
 
 * :class:`Observer` — passive listeners (gprof/perf baselines, metrics
   collectors).  They receive events but cannot perturb execution, except for
@@ -52,7 +56,11 @@ NO_ACTION = HookAction()
 
 
 class ProfilerHook:
-    """Base class for the active profiler. Every method is optional."""
+    """Base class for the active profiler. Every method is optional.
+
+    Progress visits reach no method here: the hook reads
+    ``engine.progress_counts`` when it needs them.
+    """
 
     def attach(self, engine) -> None:
         """Called when installed on an engine, before the run starts."""
@@ -65,9 +73,6 @@ class ProfilerHook:
 
     def on_thread_created(self, thread: "VThread", parent: Optional["VThread"]) -> None:
         """A thread was spawned (parent is None for the main thread)."""
-
-    def on_thread_exit(self, thread: "VThread") -> None:
-        """A thread's generator finished (after its pre-exit delays ran)."""
 
     def on_samples(self, thread: "VThread", samples: "ColumnarBuf") -> HookAction:
         """A batch of IP samples from ``thread`` is ready for processing.
@@ -103,16 +108,6 @@ class ProfilerHook:
         delays must be paid: return the pause ns to insert now.
         """
         return 0
-
-    def on_progress(self, thread: "VThread", name: str) -> None:
-        """Thread visited a source-level progress point."""
-
-    def on_line_visit(self, thread: "VThread", line: "SourceLine") -> None:
-        """Thread began executing a Work op on a registered breakpoint line.
-
-        Only fired for lines previously registered via
-        ``engine.watch_line(line)`` (breakpoint progress points).
-        """
 
 
 class AuditHook:

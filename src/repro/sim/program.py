@@ -29,7 +29,8 @@ class RunResult:
     profiler_cpu_ns: int
     #: total profiler-inserted pause time across all threads
     delay_ns: int
-    #: visits per source-level progress point
+    #: exact progress-point visits: source-level points, plus the
+    #: breakpoint lines a profiler watched
     progress_counts: Dict[str, int]
     #: number of threads that ran
     thread_count: int

@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 #: bump whenever the capture layout changes; restore refuses other versions
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 #: first checkpoint-grid point (virtual ns)
 DEFAULT_GRID_FIRST_NS = MS(10)
@@ -442,7 +442,7 @@ class Recorder:
             "sampling_enabled": engine.sampling_enabled,
             "sampling_live": engine._sampling_live,
             "interference": engine.interference,
-            "line_watchers": tuple(engine._line_watchers),
+            "line_watchers": tuple(engine._line_watchers.items()),
             "progress_counts": dict(engine.progress_counts),
             "total_delay_ns": engine.total_delay_ns,
             "total_cpu_ns": engine.total_cpu_ns,
@@ -752,7 +752,7 @@ def _overlay_engine(
     engine.sampling_enabled = e["sampling_enabled"]
     engine._sampling_live = e["sampling_live"]
     engine.interference = e["interference"]
-    engine._line_watchers = set(e["line_watchers"])
+    engine._line_watchers = dict(e["line_watchers"])
     engine.progress_counts = Counter(e["progress_counts"])
     engine.total_delay_ns = e["total_delay_ns"]
     engine.total_cpu_ns = e["total_cpu_ns"]

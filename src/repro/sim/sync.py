@@ -52,10 +52,6 @@ class Mutex:
         self.acquires = 0
         self.contended_acquires = 0
 
-    @property
-    def locked(self) -> bool:
-        return self.owner is not None
-
     def __repr__(self) -> str:
         return f"Mutex({self.name}, owner={getattr(self.owner, 'name', None)})"
 

@@ -258,7 +258,7 @@ def test_round_trip_with_failures():
     d = multi_file_data()
     d.add_failure(RunFailure(
         index=2, seed=7, error_type="ThreadCrashFault",
-        message="injected crash on thread 3", virtual_ns=MS(12), attempts=2,
+        message="injected crash on thread 3", virtual_ns=MS(12),
     ))
     d.add_failure(RunFailure(index=3, seed=8, error_type="WorkerHungError", message=""))
     assert "failures" in json.loads(d.to_json())  # degraded sessions keep them

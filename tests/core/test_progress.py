@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core.config import CozConfig
 from repro.core.experiment import ExperimentResult
-from repro.core.progress import ProgressPoint, ProgressTracker
-from repro.sim.clock import MS
-from repro.sim.source import line
+from repro.core.profiler import CausalProfiler
+from repro.core.progress import ProgressPoint
+from repro.sim import MS, US, Program, Progress, Scope, SimConfig, Work, line
 
 L = line("pp.c:5")
 
@@ -18,34 +19,83 @@ def test_point_validation():
     ProgressPoint("x", kind="breakpoint", line=L)  # ok
 
 
+def _profile(main, points=()):
+    """One profiled run of ``main`` with back-to-back 1 ms experiments on L."""
+    prof = CausalProfiler(
+        CozConfig(
+            scope=Scope.all_main(),
+            fixed_line=L,
+            speedup_schedule=[0],
+            experiment_duration_ns=MS(1),
+            cooloff_ns=0,
+        ),
+        progress_points=points,
+    )
+    result = Program(main, config=SimConfig(sample_period_ns=US(50))).run(hook=prof)
+    return prof, result
+
+
 def test_source_visits_counted_even_unregistered():
-    tr = ProgressTracker([ProgressPoint("a")])
-    tr.on_source_visit("a")
-    tr.on_source_visit("lazy")  # Coz counts every COZ_PROGRESS
-    assert tr.snapshot() == {"a": 1, "lazy": 1}
+    """Coz counts every COZ_PROGRESS, so apps can declare points lazily."""
+
+    def main(t):
+        for _ in range(3):
+            yield Work(L, US(10))
+            yield Progress("a")
+            yield Progress("lazy")
+
+    prof, result = _profile(main, [ProgressPoint("a")])
+    assert result.progress_counts == {"a": 3, "lazy": 3}
+    assert prof.sampled_counts == {}
 
 
 def test_breakpoint_visits_by_line():
-    tr = ProgressTracker([ProgressPoint("bp", kind="breakpoint", line=L)])
-    tr.on_line_visit(L)
-    tr.on_line_visit(line("pp.c:999"))  # unwatched
-    assert tr.snapshot() == {"bp": 1}
-    assert tr.breakpoint_lines == [L]
+    """``watch_line(line, name)`` counts each Work that starts on ``line``."""
+
+    def main(t):
+        for _ in range(4):
+            yield Work(L, US(10))
+            yield Work(line("pp.c:999"), US(10))  # unwatched
+
+    _, result = _profile(main, [ProgressPoint("bp", kind="breakpoint", line=L)])
+    assert result.progress_counts == {"bp": 4}
 
 
 def test_sampled_points_count_samples():
-    tr = ProgressTracker([ProgressPoint("sp", kind="sampled", line=L)])
-    tr.on_sample_line(L)
-    tr.on_sample_line(L)
-    tr.on_sample_line(None)
-    tr.on_sample_line(line("pp.c:1"))
-    assert tr.snapshot() == {"sp": 2}
+    """Sampled points count attributed samples, and only the profiler can."""
+    other = line("pp.c:1")
+
+    def main(t):
+        for _ in range(50):
+            yield Work(L, US(100))
+            yield Work(other, US(100))
+
+    prof, result = _profile(main, [ProgressPoint("sp", kind="sampled", line=L)])
+    assert prof.sampled_counts["sp"] == prof.line_samples[L] > 0
+    assert "sp" not in result.progress_counts
 
 
 def test_delta_between_snapshots():
-    before = {"a": 3}
-    after = {"a": 10, "b": 2}
-    assert ProgressTracker.delta(before, after) == {"a": 7, "b": 2}
+    """An experiment's visits are ``after - before`` per point, keyed in
+    first-visit order (points first seen mid-experiment included)."""
+
+    def main(t):
+        for i in range(1000):
+            yield Work(L, US(10))
+            yield Progress("b")
+            if i >= 500:
+                yield Progress("a")
+
+    prof, _ = _profile(main)
+    exps = prof.data.experiments
+    assert len(exps) >= 2
+    for e in exps:
+        assert list(e.visits) == list(e.counts_after)
+        assert e.visits == {
+            k: n - e.counts_before.get(k, 0) for k, n in e.counts_after.items()
+        }
+    assert list(exps[-1].counts_after) == ["b", "a"]
+    assert any("a" in e.visits and "a" not in e.counts_before for e in exps)
 
 
 def test_latency_via_littles_law():

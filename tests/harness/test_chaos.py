@@ -21,6 +21,7 @@ from repro.harness import (
     ResilienceConfig,
     run_profile_session,
 )
+from repro.harness import parallel
 from repro.harness.parallel import ParallelExecutionWarning
 from repro.sim.faults import FaultPlan
 
@@ -122,19 +123,20 @@ def test_worker_kill_is_retried_to_a_clean_session():
     _accounted(chaotic, 2)
 
 
-def test_worker_hang_recovers_within_deadline():
+def test_worker_hang_recovers_within_deadline(monkeypatch):
     spec = registry.build("example")
     clean = run_profile_session(
         spec, ProfileRequest(runs=2, execution=ExecutionConfig(jobs=1))
     )
     plan = FaultPlan(seed=1, worker_hang=1.0, worker_hang_s=30.0)
+    monkeypatch.setattr(parallel, "WATCHDOG_MAX_DEADLINE_S", 1.0)
     start = time.monotonic()
     with pytest.warns(ParallelExecutionWarning):
         chaotic = run_profile_session(
             spec,
             ProfileRequest(
                 runs=2,
-                execution=ExecutionConfig(jobs=2, timeout=1.0),
+                execution=ExecutionConfig(jobs=2),
                 resilience=ResilienceConfig(faults=plan),
             ),
         )

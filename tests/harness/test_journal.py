@@ -204,7 +204,7 @@ def test_fingerprint_excludes_execution_knobs():
     fp = session_fingerprint(spec, base, base.coz_config or _default_cfg(spec))
     for variant in (
         ProfileRequest(runs=3, execution=ExecutionConfig(jobs=4)),
-        ProfileRequest(runs=3, execution=ExecutionConfig(timeout=9.0)),
+        ProfileRequest(runs=3, execution=ExecutionConfig(batch_runs=1)),
         ProfileRequest(runs=3, coz_config=replace(_default_cfg(spec), audit=True)),
     ):
         assert session_fingerprint(
@@ -349,7 +349,9 @@ def test_stored_version_1_journal_resumes_to_the_same_profile(tmp_path):
     session under ``FaultPlan.chaos(seed=3, intensity=0.25)``: two run
     records and one failure record.  Resuming replays them and executes
     run 3.  The pinned hash is of that uninterrupted session's merged
-    ``ProfileData.to_bytes()``.
+    ``ProfileData.to_bytes()``.  The fixture's failure record still carries
+    the ``attempts`` key that failure records no longer write; reading
+    ignores it.
     """
     from repro.sim.faults import FaultPlan
 
@@ -365,5 +367,5 @@ def test_stored_version_1_journal_resumes_to_the_same_profile(tmp_path):
     ))
     assert len(resumed.data.failures) == 1 and len(resumed.data.runs) == 3
     assert hashlib.sha256(resumed.data.to_bytes()).hexdigest() == (
-        "55647a17d8576b6af79c852d5dde12673fbb6f7751b6297433ff754b4f64ec44"
+        "a41d9af119f767fd439ea9693d0445fe47546ff70dcdc957c311173eb601b735"
     )

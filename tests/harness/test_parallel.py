@@ -183,27 +183,25 @@ def test_killed_worker_is_retried_and_session_completes(injected_app):
     assert len(out.data.runs) == 2
 
 
-def test_timed_out_worker_is_retried_and_session_completes(injected_app):
+def test_timed_out_worker_is_retried_and_session_completes(injected_app, monkeypatch):
     spec = injected_app("_test_sleepy", _build_sleepy)
+    monkeypatch.setattr(parallel, "WATCHDOG_MAX_DEADLINE_S", 0.25)
     with pytest.warns(ParallelExecutionWarning, match="retrying in parent"):
-        out = profile_app(
-            spec, runs=2, coz_config=_small_cfg(spec.scope), jobs=2, timeout=0.25,
-        )
+        out = profile_app(spec, runs=2, coz_config=_small_cfg(spec.scope), jobs=2)
     assert len(out.data.runs) == 2
 
 
-def test_hung_workers_are_terminated_on_timeout(injected_app):
+def test_hung_workers_are_terminated_on_timeout(injected_app, monkeypatch):
     """A timed-out run must not orphan its worker: ``Future.cancel()`` is a
     no-op on a running task and ``shutdown(wait=False)`` leaves the process
     grinding, so the executor has to terminate the pool outright.  The
     session still completes (every run retried in the parent) and no pool
     process survives it."""
     spec = injected_app("_test_hang", _build_hang)
+    monkeypatch.setattr(parallel, "WATCHDOG_MAX_DEADLINE_S", 1.0)
     start = time.monotonic()
     with pytest.warns(ParallelExecutionWarning, match="retrying in parent"):
-        out = profile_app(
-            spec, runs=4, coz_config=_small_cfg(spec.scope), jobs=2, timeout=1.0,
-        )
+        out = profile_app(spec, runs=4, coz_config=_small_cfg(spec.scope), jobs=2)
     assert len(out.data.runs) == 4
     # queued tasks must not each burn a full timeout behind hung workers
     assert time.monotonic() - start < 25.0
@@ -229,13 +227,14 @@ def _seed0_hangs_session(spec, path, **execution):
     ))
 
 
-def test_runs_finished_before_a_hang_are_journaled(injected_app, tmp_path):
+def test_runs_finished_before_a_hang_are_journaled(injected_app, tmp_path, monkeypatch):
     """Stopping the pool after a hang delivers the batches that already
     finished through the journal hook, like every other run."""
     spec = injected_app("_test_seed0_hangs", _build_seed0_hangs)
     path = str(tmp_path / "hang.jsonl")
+    monkeypatch.setattr(parallel, "WATCHDOG_MAX_DEADLINE_S", 2.0)
     with pytest.warns(ParallelExecutionWarning, match="retrying in parent"):
-        out = _seed0_hangs_session(spec, path, timeout=2.0)
+        out = _seed0_hangs_session(spec, path)
     merged = len(out.data.runs) + len(out.data.failures)
     assert merged == 4
     assert _journaled_runs(path) == merged

@@ -27,12 +27,11 @@ def test_grouped_construction_is_silent():
         warnings.simplefilter("error")
         request = ProfileRequest(
             runs=4,
-            execution=ExecutionConfig(jobs=2, timeout=9.0),
+            execution=ExecutionConfig(jobs=2),
             resilience=ResilienceConfig(stop_after_runs=1),
             plan=PlanConfig(planner="adaptive", budget=3),
         )
     assert request.execution.jobs == 2
-    assert request.execution.timeout == 9.0
     assert request.resilience.stop_after_runs == 1
     assert request.plan.planner == "adaptive"
     assert request.plan.budget == 3

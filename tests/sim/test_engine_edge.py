@@ -75,23 +75,23 @@ def test_interference_scales_with_spinner_count():
     assert t3 > t1
 
 
-def test_watch_line_fires_hook():
-    hits = []
-
+def test_watch_line_counts_visits():
     class Watcher(ProfilerHook):
         def on_run_start(self, engine):
-            engine.watch_line(L)
+            engine.watch_line(L, "at-L")
 
-        def on_line_visit(self, thread, src):
-            hits.append(src)
+    class Chunk(Work):  # a Work subclass takes the engine's slow path
+        pass
 
     def main(t):
         for _ in range(3):
             yield Work(L, US(10))
             yield Work(MB, US(10))
+        yield Chunk(L, US(10))
 
-    Program(main).run(hook=Watcher())
-    assert hits == [L, L, L]
+    assert Program(main).run(hook=Watcher()).progress_counts == {"at-L": 4}
+    # no watcher, no count
+    assert Program(main).run().progress_counts == {}
 
 
 def test_call_after_timers_fire_in_order():

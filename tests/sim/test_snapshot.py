@@ -131,6 +131,25 @@ def test_resume_is_bit_identical_with_active_fault_plan():
         assert _fingerprint(warm, warm_prof) == want
 
 
+def test_resume_keeps_breakpoint_progress_points():
+    """A breakpoint point's watcher and its engine-side count survive the
+    capture, so a resumed run keeps counting visits to the watched line."""
+    seed = 2
+    spec, program, cold_prof = _build("bodytrack", seed)
+    cold = program.run(hook=cold_prof)
+    (point,) = [p for p in spec.progress_points if p.kind == "breakpoint"]
+    assert cold.progress_counts[point.name] > 0
+    grid = [int(cold.runtime_ns * f) for f in (0.3, 0.7)]
+    spec, result, prof, recorder = _cold_with_snapshots("bodytrack", seed, grid)
+    want = _fingerprint(result, prof)
+    assert want == _fingerprint(cold, cold_prof)
+    assert len(recorder.snapshots) == len(grid)
+    for snap in recorder.snapshots:
+        assert snap.engine["line_watchers"] == ((point.line, point.name),)
+        warm, warm_prof = _resume(spec, snap, seed)
+        assert _fingerprint(warm, warm_prof) == want
+
+
 def test_resume_reproduces_pending_stuck_lock_timer():
     """A snapshot straddling an armed stall carries the detector timer.
 
