@@ -53,11 +53,11 @@ def test_accuracy_ferret_line_speedup(benchmark):
         factor = 1.0 - line_speedup_pct / 100.0
         realized = compare_builds(
             "ferret-line",
-            build_ferret(DEFAULT_THREADS, n_queries=800).build,
+            registry.build("ferret", threads=DEFAULT_THREADS, n_queries=800),
             registry.build(
                 "ferret", threads=DEFAULT_THREADS, n_queries=800,
                 line_speedups={LINE_INDEX: factor},
-            ).build,
+            ),
             runs=4,
         ).stats.speedup
         return predicted, realized
@@ -89,8 +89,8 @@ def test_accuracy_dedup_hash_fix(benchmark):
         predicted = predict_program_speedup(lp, 96.0)
         realized = compare_builds(
             "dedup",
-            build_dedup("original", n_blocks=1500).build,
-            build_dedup("xor", n_blocks=1500).build,
+            registry.build("dedup", n_blocks=1500),
+            registry.build("dedup", optimized=True, n_blocks=1500),
             runs=4,
         ).stats.speedup
         return predicted, realized

@@ -14,6 +14,7 @@ negative slope, applies the paper's fix, and confirms the speedup.
 Run:  python examples/contention_detection.py
 """
 
+from repro.apps import registry
 from repro.apps.memcached import LINE_REFCOUNT, build_memcached
 from repro.core.config import CozConfig
 from repro.core.report import render_line_graph
@@ -47,8 +48,8 @@ def main() -> None:
 
     cmp_result = compare_builds(
         "memcached",
-        build_memcached(False, n_requests=8000).build,
-        build_memcached(True, n_requests=8000).build,
+        registry.build("memcached", n_requests=8000),
+        registry.build("memcached", optimized=True, n_requests=8000),
         runs=5,
     )
     print(f"lock removed (atomic refcount): {cmp_result.row()}")

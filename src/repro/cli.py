@@ -168,8 +168,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     opt = _build(args.app, optimized=True)
     try:
         cmp_result = compare_builds(
-            args.app, base.build, opt.build, runs=args.runs, jobs=args.jobs,
-            baseline_ref=base.registry_ref, optimized_ref=opt.registry_ref,
+            args.app, base, opt, runs=args.runs, jobs=args.jobs,
             audit_report=audit_report, faults=_fault_plan(args),
             journal=args.journal, resume=args.resume,
         )

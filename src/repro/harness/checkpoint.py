@@ -5,7 +5,7 @@ mid-flight; this module decides *which* runs get to reuse those captures.
 Because run ``i`` of a session is always seeded ``base_seed + i``, a run is
 bit-identical to any earlier execution of the same (session configuration,
 seed) pair — so the store keys checkpoints by a canonical *run fingerprint*
-(derived with the same :func:`~repro.harness.journal.canonical` machinery
+(derived with the same :func:`~repro.harness.journal.run_identity` fields
 the journal uses) plus the per-run seed.
 
 Storage is two-level:
@@ -39,10 +39,9 @@ import multiprocessing
 import os
 import pickle
 import warnings
-from dataclasses import replace
 from typing import Any, Callable, Optional, Tuple
 
-from repro.harness.journal import canonical
+from repro.harness.journal import run_identity
 from repro.sim.snapshot import (
     SNAPSHOT_VERSION,
     EngineSnapshot,
@@ -91,9 +90,7 @@ def checkpoint_fingerprint(spec, coz_config, faults) -> str:
     payload = {
         "kind": "checkpoint-run",
         "snapshot_version": SNAPSHOT_VERSION,
-        "app": canonical(spec.registry_ref),
-        "coz_config": canonical(replace(coz_config, seed=0, audit=False)),
-        "faults": canonical(faults),
+        **run_identity(spec, coz_config, faults),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -4,60 +4,55 @@ The paper runs each benchmark ten times before and after the optimization,
 defines speedup as ``(t0 - t_opt) / t0``, computes the standard error with
 Efron's bootstrap, and checks significance with the one-tailed Mann-Whitney
 U test at alpha = 0.001.  :func:`compare_builds` does exactly that on two
-program factories (no profiler installed: these are plain runs), reusing
-the process-parallel executor when ``jobs != 1``; :func:`compare_app` is
-the registry-addressed form whose runs parallelize for any bundled app.
+app specs (no profiler installed: these are plain runs), reusing the
+process-parallel executor when ``jobs != 1``; :func:`compare_app` is the
+registry-addressed form.  Registry-built specs run in pool workers, which
+rebuild them from their refs.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
-from repro.harness.journal import SessionJournal
+from repro.apps.spec import AppSpec
+from repro.core.config import CozConfig
+from repro.harness.journal import SessionJournal, canonical, program_identity
 from repro.harness.parallel import (
     ParallelExecutionWarning,
     RunTask,
     execute_tasks,
 )
 from repro.sim.faults import FaultPlan
-from repro.sim.program import Program
 from repro.stats.bootstrap import SpeedupStats, speedup_stats
 
 
 def measure_runtimes(
-    program_factory: Callable[[int], Program],
+    spec: AppSpec,
     runs: int = 10,
     base_seed: int = 0,
     jobs: int = 1,
-    app_ref=None,
+    coz_config: Optional[CozConfig] = None,
     audit_report=None,
     faults: Optional[FaultPlan] = None,
     journal: Optional[SessionJournal] = None,
     segment: str = "runtimes",
 ) -> List[int]:
-    """Wall-clock virtual runtimes of ``runs`` fresh executions.
+    """Virtual runtimes of ``runs`` fresh executions of ``spec``'s program.
 
-    ``app_ref`` (an :class:`~repro.apps.registry.AppRef`) lets worker
-    processes rebuild the program by registry name; without it, parallel
-    execution needs ``program_factory`` itself to be picklable.
-    ``audit_report`` (an :class:`~repro.core.audit.AuditReport`) turns on
-    the executor's parallel-serial-identity spot check.  ``journal`` (an
-    open :class:`~repro.harness.journal.SessionJournal`) checkpoints each
-    run under ``segment`` and replays runs the journal already holds.
-    Runs that fail deterministically are dropped from the returned list
-    with a warning — the measurement degrades instead of dying.
+    ``coz_config=None`` times plain runs; a config times each run under
+    the profiler.  ``audit_report`` (an
+    :class:`~repro.core.audit.AuditReport`) turns on the executor's
+    parallel-serial-identity spot check and collects the per-run audits
+    of an auditing config.  ``journal`` (an open
+    :class:`~repro.harness.journal.SessionJournal`) checkpoints each run
+    under ``segment`` and replays runs the journal already holds.  Runs
+    that fail deterministically are dropped from the returned list with a
+    warning — the measurement degrades instead of dying.
     """
     tasks = [
-        RunTask(
-            index=i,
-            seed=base_seed + i,
-            coz_config=None,
-            app_ref=app_ref,
-            program_factory=None if app_ref is not None else program_factory,
-            faults=faults,
-        )
+        RunTask(index=i, seed=base_seed + i, spec=spec, coz_config=coz_config, faults=faults)
         for i in range(runs)
     ]
     outputs = {}
@@ -88,6 +83,8 @@ def measure_runtimes(
             failed.append(out.run_failure())
         else:
             runtimes.append(out.run["runtime_ns"])
+            if audit_report is not None and out.audit_json is not None:
+                audit_report.merge(out.audit_report())
     if failed or absent:
         if failed:
             first = (
@@ -129,26 +126,22 @@ class Comparison:
 
 def compare_builds(
     name: str,
-    baseline_factory: Callable[[int], Program],
-    optimized_factory: Callable[[int], Program],
+    baseline: AppSpec,
+    optimized: AppSpec,
     runs: int = 10,
     base_seed: int = 0,
     jobs: int = 1,
-    baseline_ref=None,
-    optimized_ref=None,
     audit_report=None,
     faults: Optional[FaultPlan] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
 ) -> Comparison:
-    """Run both configurations ``runs`` times and compute Table 3 statistics.
+    """Run both programs ``runs`` times and compute Table 3 statistics.
 
     With ``journal=`` the baseline and optimized measurements checkpoint
     into one journal file as segments ``baseline`` / ``optimized``;
     ``resume=`` replays a previous journal's completed runs first.
     """
-    from repro.harness.journal import canonical
-
     jr: Optional[SessionJournal] = None
     if journal is not None or resume is not None:
         fingerprint = {
@@ -156,8 +149,8 @@ def compare_builds(
             "name": name,
             "runs": runs,
             "base_seed": base_seed,
-            "baseline": canonical(baseline_ref),
-            "optimized": canonical(optimized_ref),
+            "baseline": program_identity(baseline),
+            "optimized": program_identity(optimized),
             "faults": canonical(faults),
         }
         if resume is not None:
@@ -165,32 +158,30 @@ def compare_builds(
         else:
             jr = SessionJournal.create(journal, fingerprint)
     try:
-        baseline = measure_runtimes(
-            baseline_factory, runs=runs, base_seed=base_seed,
-            jobs=jobs, app_ref=baseline_ref,
+        baseline_ns = measure_runtimes(
+            baseline, runs=runs, base_seed=base_seed, jobs=jobs,
             audit_report=audit_report, faults=faults,
             journal=jr, segment="baseline",
         )
-        optimized = measure_runtimes(
-            optimized_factory, runs=runs, base_seed=base_seed + runs,
-            jobs=jobs, app_ref=optimized_ref,
+        optimized_ns = measure_runtimes(
+            optimized, runs=runs, base_seed=base_seed + runs, jobs=jobs,
             audit_report=audit_report, faults=faults,
             journal=jr, segment="optimized",
         )
     finally:
         if jr is not None:
             jr.close()
-    if not baseline or not optimized:
-        empty = "baseline" if not baseline else "optimized"
+    if not baseline_ns or not optimized_ns:
+        empty = "baseline" if not baseline_ns else "optimized"
         raise ValueError(
             f"compare '{name}': every {empty} run failed; no runtimes to "
             f"compare (the journal, if any, records each failure)"
         )
-    stats = speedup_stats(baseline, optimized, seed=base_seed)
+    stats = speedup_stats(baseline_ns, optimized_ns, seed=base_seed)
     return Comparison(
         name=name,
-        baseline_ns=baseline,
-        optimized_ns=optimized,
+        baseline_ns=baseline_ns,
+        optimized_ns=optimized_ns,
         stats=stats,
     )
 
@@ -210,17 +201,13 @@ def compare_app(
     variant of a bundled app, parallelizable via worker-side rebuild."""
     from repro.apps import registry
 
-    base = registry.build(name, **build_kwargs)
-    opt = registry.build(name, optimized=True, **build_kwargs)
     return compare_builds(
         name,
-        base.build,
-        opt.build,
+        registry.build(name, **build_kwargs),
+        registry.build(name, optimized=True, **build_kwargs),
         runs=runs,
         base_seed=base_seed,
         jobs=jobs,
-        baseline_ref=base.registry_ref,
-        optimized_ref=opt.registry_ref,
         audit_report=audit_report,
         faults=faults,
         journal=journal,

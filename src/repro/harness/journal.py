@@ -90,6 +90,28 @@ def canonical(obj: Any) -> Any:
     return repr(obj)
 
 
+def program_identity(spec) -> Any:
+    """The program an :class:`~repro.apps.spec.AppSpec` builds, as every
+    fingerprint names it: its canonical registry ref, or its name when it
+    has none (a ``build`` closure has no stable identity of its own)."""
+    ref = spec.registry_ref
+    return canonical(ref) if ref is not None else spec.name
+
+
+def run_identity(spec, coz_config, faults) -> Dict[str, Any]:
+    """The fingerprint fields that shape one run's trajectory: the
+    program, the profiler config, and the fault plan.
+
+    The per-run seed overrides the config's ``seed`` and the ``audit``
+    flag is observational, so both are normalized out.
+    """
+    return {
+        "app": program_identity(spec),
+        "coz_config": canonical(dataclasses.replace(coz_config, seed=0, audit=False)),
+        "faults": canonical(faults),
+    }
+
+
 class SessionJournal:
     """Append-only JSONL journal for one profiling session.
 

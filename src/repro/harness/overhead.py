@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro.apps.spec import AppSpec
 from repro.core.config import CozConfig
-from repro.harness.parallel import RunTask, execute_tasks
+from repro.harness.comparison import measure_runtimes
 
 
 @dataclass
@@ -57,12 +57,14 @@ def measure_overhead(
 ) -> OverheadBreakdown:
     """Run the four-configuration protocol on one app.
 
-    Each configuration's runs go through the shared executor; with
-    ``jobs != 1`` they execute in worker processes (per-run seeding and
-    averaging are unchanged, so the breakdown is identical to serial).
-    With an ``audit_report`` (:class:`~repro.core.audit.AuditReport`) the
-    three profiled configurations run under the invariant audit and the
-    per-run reports are folded in.
+    Each configuration is timed by :func:`~repro.harness.comparison.
+    measure_runtimes`; with ``jobs != 1`` its runs execute in worker
+    processes (per-run seeding and averaging are unchanged, so the
+    breakdown is identical to serial), and a run that fails is dropped
+    from its configuration's mean with a warning.  With an
+    ``audit_report`` (:class:`~repro.core.audit.AuditReport`) the three
+    profiled configurations run under the invariant audit and the per-run
+    reports are folded in.
     """
     coz_config = coz_config or CozConfig()
     if coz_config.scope.files is None and spec.scope.files is not None:
@@ -71,28 +73,10 @@ def measure_overhead(
     def timed(cfg: Optional[CozConfig]) -> float:
         if cfg is not None and audit_report is not None:
             cfg = replace(cfg, audit=True)
-        tasks = [
-            RunTask(
-                index=i,
-                seed=base_seed + i,
-                coz_config=cfg,
-                app_ref=spec.registry_ref,
-                program_factory=None if spec.registry_ref is not None else spec.build,
-                progress_points=tuple(spec.progress_points),
-                latency_specs=tuple(spec.latency_specs),
-            )
-            for i in range(runs)
-        ]
-        outputs = execute_tasks(
-            tasks, jobs=jobs,
-            audit_report=audit_report if jobs != 1 else None,
-        )
-        if audit_report is not None:
-            for out in outputs:
-                per_run = out.audit_report()
-                if per_run is not None:
-                    audit_report.merge(per_run)
-        return mean(out.run["runtime_ns"] for out in outputs)
+        return mean(measure_runtimes(
+            spec, runs=runs, base_seed=base_seed, jobs=jobs,
+            coz_config=cfg, audit_report=audit_report,
+        ))
 
     t_base = timed(None)
     # startup-only: debug info processed, but no sampling and no experiments

@@ -7,10 +7,13 @@ result.  Three properties make that safe:
 
 * **seed assignment** — tasks carry the exact per-run seed the serial loop
   would have used (``base_seed + i``); workers never draw seeds themselves;
-* **worker-side rebuild** — app specs hold closures that do not pickle, so
-  tasks reference apps by :class:`~repro.apps.registry.AppRef` and workers
-  rebuild them from :mod:`repro.apps.registry`.  Arbitrary picklable
-  program factories are also accepted (the :func:`profile_program` path);
+* **worker-side rebuild** — a task names its program by its
+  :class:`~repro.apps.spec.AppSpec`.  A registry-built spec's ``build`` is
+  a closure that does not pickle, so the task ships the spec's
+  :class:`~repro.apps.registry.AppRef` and the worker rebuilds the spec
+  from :mod:`repro.apps.registry`.  An unregistered spec ships by value,
+  which works when its ``build`` pickles (the :func:`profile_program`
+  path);
 * **ordered merge** — results are reassembled in task-index order no matter
   which worker finished first, so the merged profile is bit-identical to
   the serial one.
@@ -68,14 +71,15 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
+from repro.apps.spec import AppSpec
 from repro.core.config import CozConfig
 from repro.core.profile_data import ProfileData, RunFailure
 from repro.core.profiler import CausalProfiler
 from repro.sim.errors import SimulationError, WorkerCrashError, WorkerHungError
 from repro.sim.faults import FaultInjector, FaultPlan
-from repro.sim.program import Program, RunResult
+from repro.sim.program import RunResult
 
 if TYPE_CHECKING:
     from repro.harness.checkpoint import CheckpointStore
@@ -160,31 +164,42 @@ class Watchdog:
 class RunTask:
     """One simulation run: what to build, how to seed it, what to measure.
 
-    Exactly one of ``app_ref`` / ``program_factory`` should be set.  With
-    ``coz_config`` set the run happens under a :class:`CausalProfiler`
-    seeded ``replace(coz_config, seed=seed)`` — the serial loop's exact
-    recipe; with ``coz_config=None`` it is a plain (unprofiled) run, as
-    used by the comparison and overhead harnesses.  ``faults`` carries the
-    session's :class:`~repro.sim.faults.FaultPlan` into the run (sim-level
-    faults) and the worker (kill/hang faults).  A task holds no snapshot,
-    so it pickles for a pool worker in about a kilobyte or less.
+    ``spec`` names the program.  With ``coz_config`` set the run happens
+    under a :class:`CausalProfiler` seeded ``replace(coz_config,
+    seed=seed)`` — the serial loop's exact recipe; with ``coz_config=None``
+    it is a plain (unprofiled) run, as used by the comparison and overhead
+    harnesses.  ``faults`` carries the session's
+    :class:`~repro.sim.faults.FaultPlan` into the run (sim-level faults) and
+    the worker (kill/hang faults).  A task holds no snapshot, and a
+    registry-built spec pickles as its ref, so a task pickles for a pool
+    worker in about a kilobyte or less.
     """
 
     index: int
     seed: int
+    spec: AppSpec
     coz_config: Optional[CozConfig] = None
-    #: picklable registry reference (:class:`repro.apps.registry.AppRef`)
-    app_ref: Optional[object] = None
-    #: direct factory; must be picklable to cross process boundaries
-    program_factory: Optional[Callable[[int], Program]] = None
-    progress_points: Tuple = ()
-    latency_specs: Tuple = ()
     #: fault-injection plan for this run (``None`` = no injection)
     faults: Optional[FaultPlan] = None
     #: checkpoint fast-forward: the session's store (``None`` = run cold,
     #: record nothing).  The process that executes the task looks the
     #: run's snapshot up in it; the task never carries a snapshot
     checkpoint: Optional[CheckpointStore] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        if self.spec.registry_ref is not None:
+            state["spec"] = self.spec.registry_ref
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        if not isinstance(state["spec"], AppSpec):
+            # through the process-global spec memo: a warm pool worker
+            # builds each app of a session once, not once per task
+            from repro.apps.registry import cached_build
+
+            state["spec"] = cached_build(state["spec"])
+        self.__dict__.update(state)
 
 
 @dataclass
@@ -255,24 +270,6 @@ def _summarize(result: RunResult) -> Dict[str, Any]:
     }
 
 
-def _resolve_factory(task: RunTask):
-    """(factory, progress_points, latency_specs) for a task, rebuilding
-    registry-referenced apps by name.
-
-    Registry rebuilds go through the process-global spec memo
-    (:func:`repro.apps.registry.cached_build`): a warm pool worker builds
-    each app of a session once, not once per task.
-    """
-    if task.app_ref is not None:
-        from repro.apps.registry import cached_build
-
-        spec = cached_build(task.app_ref)
-        return spec.build, tuple(spec.progress_points), tuple(spec.latency_specs)
-    if task.program_factory is None:
-        raise ValueError("RunTask needs an app_ref or a program_factory")
-    return task.program_factory, task.progress_points, task.latency_specs
-
-
 def _run_task(task: RunTask) -> RunOutput:
     """Execute one run; mirrors the serial loop body exactly.
 
@@ -285,14 +282,14 @@ def _run_task(task: RunTask) -> RunOutput:
     when it doesn't — bit-identical either way, including reproducing a
     deterministic failure from a snapshot taken before the fault fired.
     """
-    factory, points, latency = _resolve_factory(task)
+    spec = task.spec
 
     def build():
         profiler = None
         if task.coz_config is not None:
             cfg = replace(task.coz_config, seed=task.seed)
-            profiler = CausalProfiler(cfg, points, latency)
-        program = factory(task.seed)
+            profiler = CausalProfiler(cfg, spec.progress_points, spec.latency_specs)
+        program = spec.build(task.seed)
         run_config = None
         if task.faults is not None and task.faults.any_sim_faults:
             run_config = replace(program.config, faults=task.faults)
@@ -407,7 +404,7 @@ def _picklable(task: RunTask) -> bool:
 
     Pickles the task itself: it holds no snapshot, only plain fields and
     a checkpoint-store address, so this costs tens of microseconds per
-    task.  Closure-based program factories fail it.
+    task.  An unregistered spec whose ``build`` is a closure fails it.
     """
     try:
         pickle.dumps(task)
@@ -542,8 +539,8 @@ def execute_tasks(
 
     if not all(_picklable(t) for t in tasks):
         _warn(
-            "profiling tasks are not picklable (closure-based program factory "
-            "not in the app registry); running serially"
+            "profiling tasks are not picklable (an unregistered spec whose "
+            "build does not pickle); running serially"
         )
         return _run_serial(tasks, on_output, deadline_monotonic)
 

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 from repro.apps.spec import AppSpec
 from repro.core.config import CozConfig
 from repro.core.profile_data import CausalProfile, ProfileData, build_causal_profile
-from repro.harness.journal import DEFAULT_SEGMENT, SessionJournal, canonical
+from repro.harness.journal import DEFAULT_SEGMENT, SessionJournal, canonical, run_identity
 from repro.harness.parallel import RunOutput, RunTask, execute_tasks
 from repro.harness.request import (
     ExecutionConfig,
@@ -108,15 +108,12 @@ def session_fingerprint(
     included — replaying a journal under a different planner would feed a
     different decision process.
     """
-    app = canonical(spec.registry_ref) if spec.registry_ref is not None else spec.name
     return {
         "kind": "profile-session",
-        "app": app,
+        **run_identity(spec, coz_config, request.resilience.faults),
         "runs": request.runs,
         "base_seed": request.base_seed,
         "min_speedup_amounts": request.min_speedup_amounts,
-        "coz_config": canonical(replace(coz_config, seed=0, audit=False)),
-        "faults": canonical(request.resilience.faults),
         "plan": canonical(request.plan),
     }
 
@@ -130,9 +127,9 @@ def run_profile_session(
 
     With ``request.execution.jobs != 1`` each batch executes in worker
     processes; specs built by :func:`repro.apps.registry.build` are rebuilt
-    worker-side from their :class:`~repro.apps.registry.AppRef`, while
-    unregistered specs (whose ``build`` closures cannot be pickled) fall
-    back to serial with a warning.  Deterministically failed runs are
+    worker-side from their :class:`~repro.apps.registry.AppRef`; an
+    unregistered spec ships by value, and runs serially with a warning
+    when its ``build`` does not pickle.  Deterministically failed runs are
     recorded in ``outcome.data.failures`` and the session completes
     degraded.
     """
@@ -171,11 +168,8 @@ def run_profile_session(
         return RunTask(
             index=plan.index,
             seed=request.base_seed + plan.index,
+            spec=spec,
             coz_config=plan.apply(coz_config),
-            app_ref=spec.registry_ref,
-            program_factory=None if spec.registry_ref is not None else spec.build,
-            progress_points=tuple(spec.progress_points),
-            latency_specs=tuple(spec.latency_specs),
             faults=resilience.faults,
             checkpoint=None if plan.is_directed else store,
         )

@@ -192,6 +192,18 @@ def test_unpicklable_factory_still_degrades_to_serial():
     assert fanned.data == serial.data
 
 
+def test_registry_task_pickles_as_its_ref():
+    # a registry-built spec's build is a closure: the task ships the ref,
+    # and the receiving process rebuilds the spec once through its memo
+    from repro.apps.registry import cached_build
+    from repro.harness.parallel import RunTask
+
+    spec = registry.build("example", rounds=20)
+    blob = pickle.dumps(RunTask(index=0, seed=0, spec=spec))
+    assert b"AppRef" in blob and b"AppSpec" not in blob
+    assert pickle.loads(blob).spec is cached_build(spec.registry_ref)
+
+
 # -- worker-side caches ------------------------------------------------------------
 
 def test_cached_build_memoizes_and_invalidates():

@@ -16,7 +16,7 @@ from repro.sim.clock import MS
 
 def test_measure_runtimes_independent_seeds():
     spec = build_example(rounds=5)
-    times = measure_runtimes(spec.build, runs=3)
+    times = measure_runtimes(spec, runs=3)
     assert len(times) == 3
     assert all(t > 0 for t in times)
 
@@ -34,7 +34,7 @@ def test_measure_runtimes_missing_output_degrades_with_warning(monkeypatch):
 
     monkeypatch.setattr(comparison, "execute_tasks", lossy)
     with pytest.warns(ParallelExecutionWarning, match="run 2 produced no output"):
-        times = measure_runtimes(spec.build, runs=4)
+        times = measure_runtimes(spec, runs=4)
     assert len(times) == 3
 
 
@@ -52,7 +52,7 @@ def test_measure_runtimes_short_journal_resumed_with_more_runs(
 
     jr = SessionJournal.create(path, fingerprint)
     try:
-        assert len(measure_runtimes(spec.build, runs=2, journal=jr)) == 2
+        assert len(measure_runtimes(spec, runs=2, journal=jr)) == 2
     finally:
         jr.close()
 
@@ -62,7 +62,7 @@ def test_measure_runtimes_short_journal_resumed_with_more_runs(
     jr = SessionJournal.resume(path, fingerprint)
     try:
         with pytest.warns(ParallelExecutionWarning, match="2 of 4 runs failed"):
-            times = measure_runtimes(spec.build, runs=4, journal=jr)
+            times = measure_runtimes(spec, runs=4, journal=jr)
     finally:
         jr.close()
     assert len(times) == 2
@@ -71,7 +71,7 @@ def test_measure_runtimes_short_journal_resumed_with_more_runs(
 def test_compare_builds_detects_real_speedup():
     base = build_example(rounds=8)
     opt = registry.build("example", rounds=8, line_speedups={LINE_A: 0.0})
-    cmp_result = compare_builds("example", base.build, opt.build, runs=4)
+    cmp_result = compare_builds("example", base, opt, runs=4)
     assert cmp_result.speedup_pct == pytest.approx(
         100 * optimal_speedup_fraction(), abs=1.0
     )
@@ -106,6 +106,24 @@ def test_overhead_breakdown_components_nonnegative():
     assert "swaptions" in b.row()
 
 
+def test_overhead_drops_a_failed_run_with_a_warning():
+    from repro.harness.parallel import ParallelExecutionWarning
+    from repro.sim.errors import DeadlockError
+
+    spec = build_swaptions(n_iters=40)
+    inner = spec.build
+
+    def build(seed):
+        if seed == 1:
+            raise DeadlockError("injected")
+        return inner(seed)
+
+    spec.build = build
+    with pytest.warns(ParallelExecutionWarning, match="1 of 2 runs failed"):
+        b = measure_overhead(spec, runs=2)
+    assert b.baseline_ns == measure_runtimes(spec, runs=1)[0]
+
+
 def test_accuracy_study_on_swaptions_zero_loop():
     """Focused §4.3-style check: prediction ~ realized for a simple line."""
     spec = build_swaptions(False, n_iters=250)
@@ -126,7 +144,7 @@ def test_accuracy_study_on_swaptions_zero_loop():
 def test_render_tables_smoke():
     base = build_example(rounds=5)
     opt = registry.build("example", rounds=5, line_speedups={LINE_A: 0.5})
-    cmp_result = compare_builds("example", base.build, opt.build, runs=2)
+    cmp_result = compare_builds("example", base, opt, runs=2)
     out = render_table3([cmp_result])
     assert "example" in out and "Speedup" in out
 

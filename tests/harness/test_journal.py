@@ -18,6 +18,7 @@ from repro.harness import (
     ResilienceConfig,
     RunOutput,
     SessionJournal,
+    compare_builds,
     run_profile_session,
     session_fingerprint,
 )
@@ -299,6 +300,25 @@ def test_resume_refuses_other_apps_journal(tmp_path):
         run_profile_session(
             registry.build("ferret"),
             ProfileRequest(runs=2, resilience=ResilienceConfig(resume=path)),
+        )
+
+
+def test_compare_resume_refuses_other_programs_journal(tmp_path):
+    # the journal names each side's program by its registry ref, knobs
+    # included: the same app at another size is another program
+    path = str(tmp_path / "compare.jsonl")
+    compare_builds(
+        "ferret",
+        registry.build("ferret", n_queries=100),
+        registry.build("ferret", optimized=True, n_queries=100),
+        runs=2, journal=path,
+    )
+    with pytest.raises(JournalError, match="different session"):
+        compare_builds(
+            "ferret",
+            registry.build("ferret", n_queries=300),
+            registry.build("ferret", optimized=True, n_queries=300),
+            runs=2, resume=path,
         )
 
 

@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import signal
 import time
+import warnings
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.apps import registry
 from repro.apps.example import build_example
 from repro.core.config import CozConfig
 from repro.harness import parallel
-from repro.harness.comparison import compare_app, measure_runtimes
+from repro.harness.comparison import compare_app, compare_builds, measure_runtimes
 from repro.harness.overhead import measure_overhead
 from repro.harness.parallel import (
     AUTO_JOBS,
@@ -147,17 +148,34 @@ def test_run_profile_session_with_request():
 
 def test_measure_runtimes_parallel_matches_serial():
     spec = registry.build("example", rounds=20)
-    serial = measure_runtimes(spec.build, runs=3, app_ref=spec.registry_ref, jobs=1)
-    fanned = measure_runtimes(spec.build, runs=3, app_ref=spec.registry_ref, jobs=3)
+    serial = measure_runtimes(spec, runs=3, jobs=1)
+    fanned = measure_runtimes(spec, runs=3, jobs=3)
     assert serial == fanned
 
 
+def _compare_app(runs, jobs):
+    return compare_app("swaptions", runs=runs, jobs=jobs, n_iters=40)
+
+
+def _compare_registry_specs(runs, jobs):
+    return compare_builds(
+        "swaptions",
+        registry.build("swaptions", n_iters=40),
+        registry.build("swaptions", optimized=True, n_iters=40),
+        runs=runs, jobs=jobs,
+    )
+
+
 def test_compare_app_parallel_matches_serial():
-    serial = compare_app("swaptions", runs=2, jobs=1, n_iters=40)
-    fanned = compare_app("swaptions", runs=2, jobs=2, n_iters=40)
-    assert serial.baseline_ns == fanned.baseline_ns
-    assert serial.optimized_ns == fanned.optimized_ns
-    assert serial.speedup_pct == fanned.speedup_pct
+    for compare in (_compare_app, _compare_registry_specs):
+        serial = compare(runs=2, jobs=1)
+        with warnings.catch_warnings():
+            # registry specs ship to the workers as refs: nothing degrades
+            warnings.simplefilter("error", ParallelExecutionWarning)
+            fanned = compare(runs=2, jobs=2)
+        assert serial.baseline_ns == fanned.baseline_ns
+        assert serial.optimized_ns == fanned.optimized_ns
+        assert serial.speedup_pct == fanned.speedup_pct
 
 
 def test_measure_overhead_parallel_matches_serial():

@@ -76,9 +76,7 @@ def test_worker_run_loads_no_numpy(tmp_path):
         "from repro.harness.checkpoint import CheckpointStore\n"
         "from repro.harness.parallel import RunTask, _run_task\n"
         "spec = registry.build('example')\n"
-        "task = RunTask(index=0, seed=1, coz_config=CozConfig(scope=spec.scope),\n"
-        "               app_ref=spec.registry_ref,\n"
-        "               progress_points=tuple(spec.progress_points),\n"
+        "task = RunTask(index=0, seed=1, spec=spec, coz_config=CozConfig(scope=spec.scope),\n"
         f"               checkpoint=CheckpointStore('gate', {str(tmp_path)!r}))\n"
         "out = _run_task(task)\n"
         "assert out.failure is None and out.data_bin\n"
@@ -115,6 +113,7 @@ def test_spawn_worker_skips_a_lookup_that_cannot_hit(tmp_path):
         "import multiprocessing as mp, sys\n"
         f"sys.path.insert(0, {str(tmp_path)!r})\n"
         "mp.set_start_method('spawn')\n"
+        "from dataclasses import replace\n"
         "from functools import partial\n"
         "import probe\n"
         "from repro.apps import registry\n"
@@ -122,9 +121,8 @@ def test_spawn_worker_skips_a_lookup_that_cannot_hit(tmp_path):
         "from repro.harness.checkpoint import CheckpointStore\n"
         "from repro.harness.parallel import RunTask, execute_tasks\n"
         "spec = registry.build('example')\n"
-        "tasks = [RunTask(index=i, seed=i, coz_config=CozConfig(scope=spec.scope),\n"
-        f"                 program_factory=partial(probe.build, {str(tmp_path)!r}),\n"
-        "                 progress_points=tuple(spec.progress_points),\n"
+        f"spec = replace(spec, build=partial(probe.build, {str(tmp_path)!r}), registry_ref=None)\n"
+        "tasks = [RunTask(index=i, seed=i, spec=spec, coz_config=CozConfig(scope=spec.scope),\n"
         "                 checkpoint=CheckpointStore('gate')) for i in range(2)]\n"
         "assert execute_tasks(tasks, jobs=2) == execute_tasks(tasks, jobs=1)\n"
     )
