@@ -491,8 +491,9 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument(
         "--checkpoint-dir", metavar="DIR",
         help="on-disk checkpoint cache shared across sessions and workers; "
-             "a cache built for a different configuration is invalidated "
-             "with a warning, never silently reused",
+             "files are keyed by a fingerprint of the app, profiler "
+             "configuration and fault plan, so different configurations "
+             "share one directory side by side",
     )
     p.add_argument(
         "--planner", choices=PLANNERS, default="static",

@@ -82,11 +82,10 @@ def checkpoint_fingerprint(spec, coz_config, faults) -> str:
     The per-run seed is normalized out (it is part of the store key
     instead), as is the observational ``audit`` flag — audited sessions
     never checkpoint anyway.  Only registry-referenced apps are
-    fingerprintable: an unregistered ``<program>`` spec has no stable
+    fingerprintable (:func:`~repro.harness.journal.program_identity`
+    raises ``ValueError`` otherwise): an unregistered spec has no stable
     identity, and colliding checkpoints would be catastrophically wrong.
     """
-    if spec.registry_ref is None:
-        raise ValueError("only registry-referenced apps can be checkpointed")
     payload = {
         "kind": "checkpoint-run",
         "snapshot_version": SNAPSHOT_VERSION,

@@ -92,10 +92,18 @@ def canonical(obj: Any) -> Any:
 
 def program_identity(spec) -> Any:
     """The program an :class:`~repro.apps.spec.AppSpec` builds, as every
-    fingerprint names it: its canonical registry ref, or its name when it
-    has none (a ``build`` closure has no stable identity of its own)."""
-    ref = spec.registry_ref
-    return canonical(ref) if ref is not None else spec.name
+    fingerprint names it: its canonical registry ref.
+
+    Raises ``ValueError`` for a spec with no ref: a ``build`` closure has
+    no stable identity, so a journal keyed by the spec's name would
+    resume under a different program of the same name.
+    """
+    if spec.registry_ref is None:
+        raise ValueError(
+            f"{spec.name!r} is not registry-built: only registry-referenced "
+            f"apps can be journaled or checkpointed"
+        )
+    return canonical(spec.registry_ref)
 
 
 def run_identity(spec, coz_config, faults) -> Dict[str, Any]:

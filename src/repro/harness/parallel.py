@@ -77,6 +77,7 @@ from repro.apps.spec import AppSpec
 from repro.core.config import CozConfig
 from repro.core.profile_data import ProfileData, RunFailure
 from repro.core.profiler import CausalProfiler
+from repro.harness import wallclock
 from repro.sim.errors import SimulationError, WorkerCrashError, WorkerHungError
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.program import RunResult
@@ -340,14 +341,15 @@ def _run_batch_in_worker(
 
     Worker faults are enacted per member task — a kill mid-batch loses the
     whole batch's future, and its runs finish in the parent.  With a
-    session deadline the worker stops *between* runs once it passes and
-    returns the completed prefix (monotonic clocks are system-wide on the
-    supported platforms; a skewed clock merely shifts work back to the
-    parent's deadline handling).
+    session deadline (a :func:`wallclock.now` reading) the worker stops
+    *between* runs once it passes and returns the completed prefix; a
+    forked worker reads a patched ``wallclock.now`` as its copy at fork
+    time.  ``wall_s`` stays a ``perf_counter`` duration: it feeds the
+    watchdog median, which a frozen patched clock would read as zero.
     """
     outs: List[RunOutput] = []
     for task in tasks:
-        if outs and deadline_monotonic is not None and time.monotonic() >= deadline_monotonic:
+        if outs and wallclock.passed(deadline_monotonic):
             break
         _enact_worker_faults(task)
         start = time.perf_counter()
@@ -386,7 +388,7 @@ def _run_serial(
 ) -> List[RunOutput]:
     outputs = []
     for t in tasks:
-        if deadline_monotonic is not None and time.monotonic() >= deadline_monotonic:
+        if wallclock.passed(deadline_monotonic):
             break  # deadline passed: return what completed
         out = _run_task(t)
         if on_output is not None:
@@ -520,7 +522,7 @@ def execute_tasks(
     terminated, and the remaining runs run in the parent.  A pool that
     cannot start degrades the whole session to serial with a warning.
 
-    ``deadline_monotonic`` (a ``time.monotonic()`` timestamp) bounds the
+    ``deadline_monotonic`` (a :func:`wallclock.now` reading) bounds the
     whole batch: once it passes, no further task starts, in-flight waits
     are clamped to the remaining time, the pool is stopped, and the
     completed runs are returned — so the returned list may be *shorter*
@@ -559,9 +561,6 @@ def execute_tasks(
     failures = 0  # consecutive worker failures
     live = True  # the pool is serving batches
     expired = False
-
-    def past_deadline() -> bool:
-        return deadline_monotonic is not None and time.monotonic() >= deadline_monotonic
 
     def finish(task: RunTask, out: RunOutput) -> None:
         outputs[task.index] = out
@@ -619,11 +618,12 @@ def execute_tasks(
         nonlocal failures
         wait_s = watchdog.deadline_for(len(batch))
         if deadline_monotonic is not None:
-            wait_s = min(wait_s, max(0.0, deadline_monotonic - time.monotonic()))
+            wait_s = min(wait_s, max(0.0, deadline_monotonic - wallclock.now()))
         try:
             outs = fut.result(timeout=wait_s)
         except (_FutureTimeout, TimeoutError):
-            if past_deadline():  # the wait was clamped to it: expiry, not a hang
+            # the wait was clamped to the deadline: expiry, not a hang
+            if wallclock.passed(deadline_monotonic):
                 expire()
             else:
                 err = WorkerHungError(
@@ -640,7 +640,7 @@ def execute_tasks(
             failures = 0
         if len(outs) == len(batch):
             return
-        if past_deadline():
+        if wallclock.passed(deadline_monotonic):
             expire()
         else:  # the worker stopped early with time still on the clock
             exc = RuntimeError(
@@ -659,7 +659,7 @@ def execute_tasks(
             for task in batch:
                 if expired or task.index in outputs:
                     continue
-                if past_deadline():
+                if wallclock.passed(deadline_monotonic):
                     expire()
                     continue
                 finish(task, _run_task(task))

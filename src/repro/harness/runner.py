@@ -35,13 +35,13 @@ keyword-style wrappers.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.apps.spec import AppSpec
 from repro.core.config import CozConfig
 from repro.core.profile_data import CausalProfile, ProfileData, build_causal_profile
+from repro.harness import wallclock
 from repro.harness.journal import DEFAULT_SEGMENT, SessionJournal, canonical, run_identity
 from repro.harness.parallel import RunOutput, RunTask, execute_tasks
 from repro.harness.request import (
@@ -196,13 +196,7 @@ def run_profile_session(
     deadline_exceeded = False
     deadline_monotonic = None
     if execution.deadline_s is not None:
-        deadline_monotonic = time.monotonic() + execution.deadline_s
-
-    def _deadline_passed() -> bool:
-        return (
-            deadline_monotonic is not None
-            and time.monotonic() >= deadline_monotonic
-        )
+        deadline_monotonic = wallclock.now() + execution.deadline_s
 
     try:
         while not stopped and not planner.done():
@@ -240,7 +234,7 @@ def run_profile_session(
                     # cut the batch short: return the partial session (the
                     # journal has what completed)
                     stopped = True
-                    if _deadline_passed():
+                    if wallclock.passed(deadline_monotonic):
                         deadline_exceeded = True
                     continue
                 merged += 1

@@ -63,6 +63,8 @@ class ServiceClient:
 
     def wait_until_ready(self, timeout_s: float = 10.0) -> bool:
         """Poll ping until the daemon answers (daemon startup races)."""
+        # real time, not repro.harness.wallclock: this waits on another
+        # process, and a frozen patched clock would poll forever
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
             try:
@@ -95,9 +97,6 @@ class ServiceClient:
 
     def status(self) -> Dict[str, Any]:
         return self._call({"op": "status"}, timeout_s=10.0)
-
-    def job(self, job_id: str) -> Dict[str, Any]:
-        return self._call({"op": "job", "job_id": job_id}, timeout_s=10.0)
 
     def wait(self, job_id: str, timeout_s: float = 60.0) -> Dict[str, Any]:
         return self._call(

@@ -60,11 +60,11 @@ import json
 import os
 import socket
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
+from repro.harness import wallclock
 from repro.harness.journal import JournalError
 from repro.harness.request import (
     ExecutionConfig,
@@ -116,16 +116,11 @@ class ServiceConfig:
 class ServiceDaemon:
     """Long-running multi-tenant profiling service over a Unix socket."""
 
-    def __init__(
-        self,
-        config: ServiceConfig,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, config: ServiceConfig) -> None:
         if not hasattr(socket, "AF_UNIX"):
             raise OSError("the profiling service needs AF_UNIX sockets, "
                           "which this platform does not provide")
         self.config = config
-        self._clock = clock
         os.makedirs(config.state_dir, exist_ok=True)
         self.jobs_dir = os.path.join(config.state_dir, "jobs")
         self.checkpoints_dir = os.path.join(config.state_dir, "checkpoints")
@@ -135,7 +130,7 @@ class ServiceDaemon:
 
         self.queue = JobQueue()
         self.results = ResultStore(os.path.join(config.state_dir, "results"))
-        self.admission = AdmissionController(config.policy, clock)
+        self.admission = AdmissionController(config.policy)
 
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -153,7 +148,7 @@ class ServiceDaemon:
 
     def start(self) -> None:
         """Recover journaled jobs, bind the socket, spawn threads."""
-        self._started_monotonic = self._clock()
+        self._started_monotonic = wallclock.now()
         self._recover()
         sock_path = self.config.sock
         if os.path.exists(sock_path):
@@ -236,17 +231,11 @@ class ServiceDaemon:
                 fingerprint=fp,
                 spec=spec,
                 tenants=list(doc.get("tenants") or [spec.tenant]),
-                submitted_monotonic=self._clock(),
+                submitted_monotonic=wallclock.now(),
                 recovered=True,
             )
-            # re-arm the wall-clock budget the original submission carried
-            # (or the policy default) — without this a recovered job runs
-            # unbounded after a restart
-            deadline_s = spec.deadline_s
-            if deadline_s is None:
-                deadline_s = self.config.policy.default_deadline_s
-            if deadline_s is not None:
-                job.deadline_monotonic = time.monotonic() + deadline_s
+            # without a re-armed budget a recovered job runs unbounded
+            self._arm_deadline(job)
             with self._lock:
                 for tenant in job.tenants:
                     self.admission.tenant(tenant).active += 1
@@ -309,13 +298,9 @@ class ServiceDaemon:
                 fingerprint=fp,
                 spec=spec,
                 tenants=[spec.tenant],
-                submitted_monotonic=self._clock(),
+                submitted_monotonic=wallclock.now(),
             )
-            deadline_s = spec.deadline_s
-            if deadline_s is None:
-                deadline_s = state.policy.default_deadline_s
-            if deadline_s is not None:
-                job.deadline_monotonic = time.monotonic() + deadline_s
+            self._arm_deadline(job)
             state.active += 1
             # reserve the fingerprint before releasing the lock: a
             # concurrent duplicate arriving during the journal fsync below
@@ -345,6 +330,15 @@ class ServiceDaemon:
             "state": "queued",
         }
 
+    def _arm_deadline(self, job: Job) -> None:
+        """Start ``job``'s wall-clock budget: its own ``deadline_s``, else
+        the policy default (``None`` for both: no deadline)."""
+        deadline_s = job.spec.deadline_s
+        if deadline_s is None:
+            deadline_s = self.config.policy.default_deadline_s
+        if deadline_s is not None:
+            job.deadline_monotonic = wallclock.now() + deadline_s
+
     # ------------------------------------------------------------ execution
 
     def _worker_loop(self, idx: int) -> None:
@@ -367,14 +361,11 @@ class ServiceDaemon:
             raise
 
     def _execute_job(self, job: Job) -> None:
-        start = self._clock()
+        start = wallclock.now()
         job.queue_latency_s = max(0.0, start - job.submitted_monotonic)
         self._latencies.append(job.queue_latency_s)
 
-        if (
-            job.deadline_monotonic is not None
-            and time.monotonic() >= job.deadline_monotonic
-        ):
+        if wallclock.passed(job.deadline_monotonic):
             self._settle(job, "shed", error=_error_doc(DeadlineExceededError(
                 f"job {job.job_id} spent its whole deadline queued",
                 deadline_s=job.spec.deadline_s,
@@ -392,7 +383,7 @@ class ServiceDaemon:
             self._settle(job, "failed", error=_error_doc(exc),
                          breaker_failure=True)
             return
-        job.execute_s = self._clock() - start
+        job.execute_s = wallclock.now() - start
 
         doc = self._result_doc(job, outcome)
         if outcome.deadline_exceeded:
@@ -420,7 +411,7 @@ class ServiceDaemon:
 
         remaining_s = None
         if job.deadline_monotonic is not None:
-            remaining_s = max(0.01, job.deadline_monotonic - time.monotonic())
+            remaining_s = max(0.01, job.deadline_monotonic - wallclock.now())
 
         def request(resume: bool) -> ProfileRequest:
             return ProfileRequest(
@@ -540,7 +531,7 @@ class ServiceDaemon:
         degraded = alive < self.config.workers or breaker_open
         uptime = 0.0
         if self._started_monotonic is not None:
-            uptime = self._clock() - self._started_monotonic
+            uptime = wallclock.now() - self._started_monotonic
         return {
             "schema": "service-status/v1",
             "status": "degraded" if degraded else "ok",
@@ -621,12 +612,6 @@ class ServiceDaemon:
                 return response
             if op == "status":
                 return {"ok": True, "status": self.status()}
-            if op == "job":
-                job = self.queue.by_id.get(doc.get("job_id", ""))
-                if job is None:
-                    return {"ok": False, "error": "UnknownJob",
-                            "message": f"no job {doc.get('job_id')!r}"}
-                return {"ok": True, "job": job.snapshot()}
             if op == "wait":
                 return self._wait(doc.get("job_id", ""),
                                   float(doc.get("timeout_s", 60.0)))

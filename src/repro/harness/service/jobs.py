@@ -43,9 +43,9 @@ class Job:
     tenants: List[str] = field(default_factory=list)
     #: submissions beyond the first that coalesced here (dedup hits)
     dedup_count: int = 0
-    #: monotonic clock reading at submit (queue-latency accounting)
+    #: ``wallclock.now()`` reading at submit (queue-latency accounting)
     submitted_monotonic: float = 0.0
-    #: absolute ``time.monotonic()`` deadline (None = no deadline); expired
+    #: absolute ``wallclock.now()`` deadline (None = no deadline); expired
     #: while queued = shed, expired while running = partial result
     deadline_monotonic: Optional[float] = None
     #: wall seconds spent queued before a worker picked the job up

@@ -2,8 +2,9 @@
 
 The daemon's robustness promise is *isolation*: one tenant's chaos-faulted
 workload degrades that tenant's requests, never a neighbor's.  Three
-controls enforce it, all per-tenant and all deterministic functions of an
-injectable clock (so tests drive them with a fake clock):
+controls enforce it, all per-tenant and all deterministic functions of
+the harness wall clock, :func:`repro.harness.wallclock.now` (so tests
+drive them by patching that one clock):
 
 * **queue-depth quota** — a tenant may hold at most ``max_queue_depth``
   queued-or-running jobs; excess submissions are shed immediately rather
@@ -23,10 +24,10 @@ the daemon's status document.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
+from repro.harness import wallclock
 from repro.sim.errors import ServiceOverloadError
 
 __all__ = [
@@ -57,22 +58,16 @@ class TenantPolicy:
 
 
 class TokenBucket:
-    """Classic token bucket with an injectable clock."""
+    """Classic token bucket, refilled on :func:`wallclock.now`."""
 
-    def __init__(
-        self,
-        rate_per_s: float,
-        burst: int,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, rate_per_s: float, burst: int) -> None:
         self.rate_per_s = float(rate_per_s)
         self.burst = float(burst)
-        self._clock = clock
         self._tokens = self.burst
-        self._last = clock()
+        self._last = wallclock.now()
 
     def _refill(self) -> None:
-        now = self._clock()
+        now = wallclock.now()
         self._tokens = min(self.burst, self._tokens + (now - self._last) * self.rate_per_s)
         self._last = now
 
@@ -103,15 +98,9 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half-open"
 
-    def __init__(
-        self,
-        threshold: int = 3,
-        cooldown_s: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, threshold: int = 3, cooldown_s: float = 30.0) -> None:
         self.threshold = threshold
         self.cooldown_s = cooldown_s
-        self._clock = clock
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self._opened_at = 0.0
@@ -121,7 +110,7 @@ class CircuitBreaker:
         if self.state == self.CLOSED:
             return True
         if self.state == self.OPEN:
-            if self._clock() - self._opened_at >= self.cooldown_s:
+            if wallclock.now() - self._opened_at >= self.cooldown_s:
                 self.state = self.HALF_OPEN
                 return True  # the one probe
             return False
@@ -135,7 +124,7 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if self.state == self.HALF_OPEN or self.consecutive_failures >= self.threshold:
             self.state = self.OPEN
-            self._opened_at = self._clock()
+            self._opened_at = wallclock.now()
 
     def release_probe(self) -> None:
         """Return an unused half-open probe slot.
@@ -192,17 +181,12 @@ class AdmissionController:
     """Applies one :class:`TenantPolicy` across all tenants of a daemon.
 
     Not thread-safe on its own — the daemon serializes calls under its
-    state lock.  The clock is injectable so tests can drive cooldowns and
-    refills without sleeping.
+    state lock.  Cooldowns and refills read :func:`wallclock.now`, so
+    tests drive them by patching that clock instead of sleeping.
     """
 
-    def __init__(
-        self,
-        policy: TenantPolicy,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, policy: TenantPolicy) -> None:
         self.policy = policy
-        self._clock = clock
         self.tenants: Dict[str, TenantState] = {}
 
     def tenant(self, tenant_id: str) -> TenantState:
@@ -211,13 +195,9 @@ class AdmissionController:
             state = TenantState(
                 tenant=tenant_id,
                 policy=self.policy,
-                bucket=TokenBucket(
-                    self.policy.rate_per_s, self.policy.burst, self._clock
-                ),
+                bucket=TokenBucket(self.policy.rate_per_s, self.policy.burst),
                 breaker=CircuitBreaker(
-                    self.policy.breaker_threshold,
-                    self.policy.breaker_cooldown_s,
-                    self._clock,
+                    self.policy.breaker_threshold, self.policy.breaker_cooldown_s
                 ),
             )
             self.tenants[tenant_id] = state

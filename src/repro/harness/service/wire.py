@@ -3,7 +3,7 @@
 The daemon speaks newline-delimited JSON over a Unix domain socket: a
 client connects, writes one request object on one line, and reads one
 response object on one line.  Requests carry an ``op`` (``ping``,
-``submit``, ``status``, ``job``, ``wait``, ``result``, ``shutdown``) and a
+``submit``, ``status``, ``wait``, ``result``, ``shutdown``) and a
 ``wire`` version; mismatched versions are refused, not guessed at.
 
 :class:`JobSpec` is the profiling request a tenant submits — the subset of

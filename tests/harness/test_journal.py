@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from repro.apps import registry
+from repro.apps.dedup import build_dedup
+from repro.apps.example import build_example
 from repro.core.profile_data import RunFailure
 from repro.harness import (
     ExecutionConfig,
@@ -320,6 +322,26 @@ def test_compare_resume_refuses_other_programs_journal(tmp_path):
             registry.build("ferret", optimized=True, n_queries=300),
             runs=2, resume=path,
         )
+
+
+def test_unregistered_specs_are_refused_a_journal(tmp_path):
+    """A spec built without the registry has no identity beyond its name,
+    so its journal would resume under another program of that name: both
+    sessions refuse it before running anything."""
+    path = tmp_path / "unregistered.jsonl"
+    with pytest.raises(ValueError, match="registry"):
+        compare_builds(
+            "dedup",
+            build_dedup("original", n_blocks=200),
+            build_dedup("xor", n_blocks=200),
+            runs=2, journal=str(path),
+        )
+    with pytest.raises(ValueError, match="registry"):
+        run_profile_session(
+            build_example(rounds=3),
+            ProfileRequest(runs=2, resilience=ResilienceConfig(journal=str(path))),
+        )
+    assert not path.exists()
 
 
 # -- exclusive create ------------------------------------------------------------

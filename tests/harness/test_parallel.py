@@ -10,7 +10,7 @@ import json
 import multiprocessing
 import os
 import signal
-import time
+import threading
 import warnings
 
 import pytest
@@ -20,6 +20,7 @@ from repro.apps.example import build_example
 from repro.core.config import CozConfig
 from repro.harness import parallel
 from repro.harness.comparison import compare_app, compare_builds, measure_runtimes
+from repro.harness.journal import SessionJournal
 from repro.harness.overhead import measure_overhead
 from repro.harness.parallel import (
     AUTO_JOBS,
@@ -47,32 +48,23 @@ def _build_killer(**kwargs):
     return build_example(rounds=3)
 
 
-def _build_sleepy(**kwargs):
-    if _in_worker():
-        time.sleep(3)
-    return build_example(rounds=3)
+def _hanging_app(hangs):
+    """Builder of an app whose run with seed ``s`` blocks until the pool
+    terminates its worker when ``hangs(s)``; runs in the parent never hang."""
 
+    def builder(**kwargs):
+        spec = build_example(rounds=3)
+        inner = spec.build
 
-def _build_hang(**kwargs):
-    # long enough that an orphaned worker is observable after the session
-    # returns; the fix terminates the process instead of waiting it out
-    if _in_worker():
-        time.sleep(30)
-    return build_example(rounds=3)
+        def build(seed):
+            if hangs(seed) and _in_worker():
+                threading.Event().wait()
+            return inner(seed)
 
+        spec.build = build
+        return spec
 
-def _build_seed0_hangs(**kwargs):
-    """App whose run with seed 0 hangs, but only inside a pool worker."""
-    spec = build_example(rounds=3)
-    inner = spec.build
-
-    def build(seed):
-        if seed == 0 and _in_worker():
-            time.sleep(30)
-        return inner(seed)
-
-    spec.build = build
-    return spec
+    return builder
 
 
 @pytest.fixture
@@ -202,7 +194,7 @@ def test_killed_worker_is_retried_and_session_completes(injected_app):
 
 
 def test_timed_out_worker_is_retried_and_session_completes(injected_app, monkeypatch):
-    spec = injected_app("_test_sleepy", _build_sleepy)
+    spec = injected_app("_test_hang", _hanging_app(lambda seed: True))
     monkeypatch.setattr(parallel, "WATCHDOG_MAX_DEADLINE_S", 0.25)
     with pytest.warns(ParallelExecutionWarning, match="retrying in parent"):
         out = profile_app(spec, runs=2, coz_config=_small_cfg(spec.scope), jobs=2)
@@ -215,17 +207,15 @@ def test_hung_workers_are_terminated_on_timeout(injected_app, monkeypatch):
     grinding, so the executor has to terminate the pool outright.  The
     session still completes (every run retried in the parent) and no pool
     process survives it."""
-    spec = injected_app("_test_hang", _build_hang)
-    monkeypatch.setattr(parallel, "WATCHDOG_MAX_DEADLINE_S", 1.0)
-    start = time.monotonic()
+    spec = injected_app("_test_hang", _hanging_app(lambda seed: True))
+    monkeypatch.setattr(parallel, "WATCHDOG_MAX_DEADLINE_S", 0.5)
     with pytest.warns(ParallelExecutionWarning, match="retrying in parent"):
         out = profile_app(spec, runs=4, coz_config=_small_cfg(spec.scope), jobs=2)
     assert len(out.data.runs) == 4
-    # queued tasks must not each burn a full timeout behind hung workers
-    assert time.monotonic() - start < 25.0
-    deadline = time.monotonic() + 5.0
-    while time.monotonic() < deadline and multiprocessing.active_children():
-        time.sleep(0.05)
+    # a hung worker blocks until killed, so a join returns only for a
+    # terminated one (the timeout turns a regression into a failure)
+    for child in multiprocessing.active_children():
+        child.join(timeout=10.0)
     assert multiprocessing.active_children() == []
 
 
@@ -236,7 +226,7 @@ def _journaled_runs(path) -> int:
     return sum(kind in ("run", "failure") for kind in kinds)
 
 
-def _seed0_hangs_session(spec, path, **execution):
+def _hang_session(spec, path, **execution):
     return run_profile_session(spec, ProfileRequest(
         runs=4,
         coz_config=_small_cfg(spec.scope),
@@ -248,25 +238,36 @@ def _seed0_hangs_session(spec, path, **execution):
 def test_runs_finished_before_a_hang_are_journaled(injected_app, tmp_path, monkeypatch):
     """Stopping the pool after a hang delivers the batches that already
     finished through the journal hook, like every other run."""
-    spec = injected_app("_test_seed0_hangs", _build_seed0_hangs)
+    spec = injected_app("_test_seed0_hangs", _hanging_app(lambda seed: seed == 0))
     path = str(tmp_path / "hang.jsonl")
-    monkeypatch.setattr(parallel, "WATCHDOG_MAX_DEADLINE_S", 2.0)
+    monkeypatch.setattr(parallel, "WATCHDOG_MAX_DEADLINE_S", 0.5)
     with pytest.warns(ParallelExecutionWarning, match="retrying in parent"):
-        out = _seed0_hangs_session(spec, path)
+        out = _hang_session(spec, path)
     merged = len(out.data.runs) + len(out.data.failures)
     assert merged == 4
     assert _journaled_runs(path) == merged
 
 
-def test_runs_finished_before_the_deadline_are_journaled(injected_app, tmp_path):
+def test_runs_finished_before_the_deadline_are_journaled(
+    injected_app, tmp_path, monkeypatch, fake_clock
+):
     """A session cut at its deadline journals every run it merged, so a
     resumed session or a service resubmit does not run them again."""
-    spec = injected_app("_test_seed0_hangs", _build_seed0_hangs)
+    spec = injected_app("_test_late_seeds_hang", _hanging_app(lambda seed: seed >= 2))
     path = str(tmp_path / "deadline.jsonl")
-    out = _seed0_hangs_session(spec, path, deadline_s=3.0)
+    monkeypatch.setattr(parallel, "WATCHDOG_MAX_DEADLINE_S", 0.5)
+    record_run = SessionJournal.record_run
+
+    def record_then_expire(journal, *args):
+        record_run(journal, *args)
+        if _journaled_runs(path) == 2:
+            fake_clock.advance(60.0)  # past the deadline, with runs 2-3 hung
+
+    monkeypatch.setattr(SessionJournal, "record_run", record_then_expire)
+    out = _hang_session(spec, path, deadline_s=60.0)
     assert out.deadline_exceeded
     merged = len(out.data.runs) + len(out.data.failures)
-    assert 0 < merged < 4
+    assert merged == 2
     assert _journaled_runs(path) == merged
 
 

@@ -31,15 +31,14 @@ needs_unix_sockets = pytest.mark.skipif(
 # -- breaker heal cycle -------------------------------------------------------
 
 
-def test_breaker_full_heal_cycle_with_fake_clock():
-    t = [0.0]
-    breaker = CircuitBreaker(threshold=2, cooldown_s=5.0, clock=lambda: t[0])
+def test_breaker_full_heal_cycle_with_fake_clock(fake_clock):
+    breaker = CircuitBreaker(threshold=2, cooldown_s=5.0)
     breaker.record_failure()
     breaker.record_failure()
     assert breaker.state == "open"
-    t[0] = 4.9
+    fake_clock.t = 4.9
     assert not breaker.allow()
-    t[0] = 5.0
+    fake_clock.t = 5.0
     assert breaker.allow() and breaker.state == "half-open"
     breaker.record_success()
     assert breaker.state == "closed"

@@ -1,8 +1,9 @@
 """Profiling service: admission control, dedup, degradation, healthz.
 
-Unit tests drive the tenant machinery with a fake clock (no sleeps); the
-integration tests run a real in-process daemon over a real Unix socket in
-a tmp state dir, with sessions kept tiny (2 runs, 10 ms experiments).
+Unit tests drive the tenant machinery and job deadlines with the shared
+``fake_clock`` fixture (no sleeps); the integration tests run a real
+in-process daemon over a real Unix socket in a tmp state dir, with
+sessions kept tiny (2 runs, 10 ms experiments).
 """
 
 import socket as socket_mod
@@ -11,6 +12,7 @@ import warnings
 import pytest
 
 from repro.harness import JournalError
+from repro.harness.journal import SessionJournal
 from repro.harness.service import (
     AdmissionController,
     CircuitBreaker,
@@ -34,17 +36,6 @@ needs_unix_sockets = pytest.mark.skipif(
     not hasattr(socket_mod, "AF_UNIX"),
     reason="no AF_UNIX sockets on this platform",
 )
-
-
-class FakeClock:
-    def __init__(self, t: float = 0.0) -> None:
-        self.t = t
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
 
 
 def _spec(**kw) -> JobSpec:
@@ -85,29 +76,27 @@ def test_fingerprint_excludes_admission_knobs():
 # -- tenants ------------------------------------------------------------------
 
 
-def test_token_bucket_refills_on_fake_clock():
-    clock = FakeClock()
-    bucket = TokenBucket(rate_per_s=2.0, burst=2, clock=clock)
+def test_token_bucket_refills_on_fake_clock(fake_clock):
+    bucket = TokenBucket(rate_per_s=2.0, burst=2)
     assert bucket.try_take() and bucket.try_take()
     assert not bucket.try_take()  # burst exhausted, no time passed
-    clock.advance(0.5)  # refills one token at 2/s
+    fake_clock.advance(0.5)  # refills one token at 2/s
     assert bucket.try_take()
     assert not bucket.try_take()
-    clock.advance(10.0)  # refill clamps at burst
+    fake_clock.advance(10.0)  # refill clamps at burst
     assert bucket.tokens == pytest.approx(2.0)
 
 
-def test_breaker_opens_after_threshold_and_recloses_after_healthy_probe():
-    clock = FakeClock()
-    breaker = CircuitBreaker(threshold=3, cooldown_s=30.0, clock=clock)
+def test_breaker_opens_after_threshold_and_recloses_after_healthy_probe(fake_clock):
+    breaker = CircuitBreaker(threshold=3, cooldown_s=30.0)
     for _ in range(2):
         breaker.record_failure()
     assert breaker.state == "closed" and breaker.allow()
     breaker.record_failure()
     assert breaker.state == "open" and not breaker.allow()
-    clock.advance(29.0)
+    fake_clock.advance(29.0)
     assert not breaker.allow()  # still cooling down
-    clock.advance(1.5)
+    fake_clock.advance(1.5)
     assert breaker.allow()  # the half-open probe
     assert breaker.state == "half-open"
     assert not breaker.allow()  # only one probe at a time
@@ -115,26 +104,23 @@ def test_breaker_opens_after_threshold_and_recloses_after_healthy_probe():
     assert breaker.state == "closed" and breaker.allow()
 
 
-def test_breaker_failed_probe_reopens_for_another_cooldown():
-    clock = FakeClock()
-    breaker = CircuitBreaker(threshold=1, cooldown_s=10.0, clock=clock)
+def test_breaker_failed_probe_reopens_for_another_cooldown(fake_clock):
+    breaker = CircuitBreaker(threshold=1, cooldown_s=10.0)
     breaker.record_failure()
-    clock.advance(10.0)
+    fake_clock.advance(10.0)
     assert breaker.allow()
     breaker.record_failure()  # probe failed
     assert breaker.state == "open"
-    clock.advance(9.0)
+    fake_clock.advance(9.0)
     assert not breaker.allow()
-    clock.advance(1.5)
+    fake_clock.advance(1.5)
     assert breaker.allow()
 
 
-def test_admission_sheds_are_typed_and_counted():
-    clock = FakeClock()
+def test_admission_sheds_are_typed_and_counted(fake_clock):
     ctl = AdmissionController(
         TenantPolicy(max_queue_depth=1, rate_per_s=1.0, burst=1,
                      breaker_threshold=1, breaker_cooldown_s=60.0),
-        clock,
     )
     state = ctl.tenant("alice")
     # over quota
@@ -165,16 +151,14 @@ def test_admission_sheds_are_typed_and_counted():
 # -- admission races (no sockets: daemon used as a library, never started) ----
 
 
-def _lib_daemon(tmp_path, clock=None, **policy_kw):
+def _lib_daemon(tmp_path, **policy_kw):
     """A daemon instance for unit-testing submit/settle without start()."""
     policy = TenantPolicy(**{
         "rate_per_s": 1000.0, "burst": 1000, **policy_kw,
     })
     config = ServiceConfig(state_dir=str(tmp_path / "state"), workers=1,
                            policy=policy)
-    if clock is None:
-        return ServiceDaemon(config)
-    return ServiceDaemon(config, clock=clock)
+    return ServiceDaemon(config)
 
 
 def test_duplicate_during_journal_fsync_coalesces_not_double_enqueues(tmp_path):
@@ -228,18 +212,17 @@ def test_submission_during_settle_does_not_coalesce_or_leak_quota(tmp_path):
     assert d.admission.tenant("alice").active == 1
 
 
-def test_half_open_probe_released_on_cache_hit_and_capacity_shed(tmp_path):
+def test_half_open_probe_released_on_cache_hit_and_capacity_shed(tmp_path, fake_clock):
     """Regression: a half-open probe that resolved as a cache hit or was
     shed by quota/rate never fed the breaker, so every later allow()
     returned False and the tenant was quarantined forever."""
-    clock = FakeClock()
-    d = _lib_daemon(tmp_path, clock=clock,
+    d = _lib_daemon(tmp_path,
                     max_queue_depth=1, breaker_threshold=1,
                     breaker_cooldown_s=10.0)
     spec = _spec()
     state = d.admission.tenant(spec.tenant)
     state.breaker.record_failure()  # open
-    clock.advance(10.0)
+    fake_clock.advance(10.0)
 
     # probe admitted, then shed on queue depth: the slot must come back
     state.active = 1
@@ -263,16 +246,14 @@ def test_half_open_probe_released_on_cache_hit_and_capacity_shed(tmp_path):
     assert state.breaker.state == "half-open"
 
 
-def test_shed_probe_job_releases_slot_instead_of_wedging_breaker(tmp_path):
+def test_shed_probe_job_releases_slot_instead_of_wedging_breaker(tmp_path, fake_clock):
     """A probe job that terminates without a health verdict (deadline
     shed) must return its slot: shed is not evidence either way."""
-    clock = FakeClock()
-    d = _lib_daemon(tmp_path, clock=clock,
-                    breaker_threshold=1, breaker_cooldown_s=10.0)
+    d = _lib_daemon(tmp_path, breaker_threshold=1, breaker_cooldown_s=10.0)
     spec = _spec(deadline_s=30.0)
     state = d.admission.tenant(spec.tenant)
     state.breaker.record_failure()
-    clock.advance(10.0)
+    fake_clock.advance(10.0)
     accepted = d.submit(spec)  # the half-open probe job
     assert accepted["ok"] and state.breaker.state == "half-open"
     job = d.queue.by_id[accepted["job_id"]]
@@ -302,6 +283,39 @@ def test_recovered_job_rearms_deadline(tmp_path):
     assert all(j.recovered for j in jobs.values())
     assert jobs[job_fingerprint(explicit)].deadline_monotonic is not None
     assert jobs[job_fingerprint(defaulted)].deadline_monotonic is not None
+
+
+def test_deadline_expired_in_queue_is_shed(tmp_path, fake_clock):
+    d = _lib_daemon(tmp_path)
+    accepted = d.submit(_spec(deadline_s=30.0))
+    fake_clock.advance(30.0)  # the whole budget passes while queued
+    d._execute_job(d.queue.take(timeout=0))
+    job = d.queue.by_id[accepted["job_id"]]
+    assert job.state == "shed"
+    assert job.error["error"] == "DeadlineExceededError"
+    assert d.status()["tenants"]["t"]["shed_deadline"] == 1
+
+
+def test_deadline_expired_mid_session_sheds_a_partial_result(
+    tmp_path, fake_clock, monkeypatch
+):
+    d = _lib_daemon(tmp_path)
+    accepted = d.submit(_spec(deadline_s=30.0))
+    record_run = SessionJournal.record_run
+
+    def record_then_expire(journal, *args):
+        record_run(journal, *args)
+        fake_clock.advance(30.0)  # the budget runs out after the first run
+
+    monkeypatch.setattr(SessionJournal, "record_run", record_then_expire)
+    d._execute_job(d.queue.take(timeout=0))
+    job = d.queue.by_id[accepted["job_id"]]
+    assert job.state == "shed" and job.error is None
+    assert job.result["partial"]
+    assert len(job.result["profile_data"]["runs"]) == 1
+    # partial results are never cached: a resubmit must finish the job
+    assert d.results.get(job.fingerprint) is None
+    assert d.status()["tenants"]["t"]["shed_deadline"] == 1
 
 
 def test_queue_journal_torn_tail_keeps_later_submits_recoverable(tmp_path):
@@ -580,25 +594,6 @@ def test_breaker_quarantines_chaos_tenant_then_probe_recovers(daemon):
     probe = client.submit(_spec(tenant="mallory", base_seed=400), wait_s=60.0)
     assert probe["ok"] and probe["job"]["state"] == "done"
     assert client.status()["status"]["tenants"]["mallory"]["breaker"] == "closed"
-
-
-@needs_unix_sockets
-def test_deadline_expired_in_queue_is_shed(daemon):
-    d, client = daemon()
-    r = client.submit(_spec(deadline_s=0.0001))
-    # whether the deadline fired while queued (typed error) or mid-session
-    # (partial result), the job must terminate as shed
-    done = client.wait(r["job_id"], timeout_s=60.0)
-    assert done["ok"]
-    assert done["job"]["state"] == "shed"
-    err = done["job"]["error"]
-    if err is not None:
-        assert err["error"] == "DeadlineExceededError"  # expired in queue
-    else:
-        assert done["result"]["partial"]  # expired mid-session
-        # partial results are never cached: a resubmit must finish the job
-        assert d.results.get(done["job"]["fingerprint"]) is None
-    assert client.status()["status"]["tenants"]["t"]["shed_deadline"] == 1
 
 
 @needs_unix_sockets
